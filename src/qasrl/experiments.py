@@ -265,13 +265,12 @@ class RunLog:
         if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
             raise ValueError(f"{path} is not a run log (bad header)")
         rows = []
-        for line in lines[1:]:
+        for lineno, line in enumerate(lines[1:], start=2):
             cells = line.split(",")
-            kwargs = {
-                col: (int(cell) if col in _INT_COLUMNS else float(cell))
-                for col, cell in zip(CSV_COLUMNS, cells)
-            }
-            rows.append(RunRow(**kwargs))
+            if len(cells) != len(CSV_COLUMNS):
+                raise ValueError(f"{path} line {lineno}: {len(cells)} cells, expected {len(CSV_COLUMNS)}")
+            rows.append(RunRow(*(int(cell) if col in _INT_COLUMNS else float(cell)
+                                 for col, cell in zip(CSV_COLUMNS, cells))))
         return cls(rows)
 
     def rolling_mean(self, window: int = 50) -> np.ndarray:
@@ -402,10 +401,11 @@ def emit_plot(log: RunLog, image_path, rolling_csv_path=None, window: int = 50):
 
 
 def _to_pixels(values: np.ndarray, lo: float, hi: float, start: float, stop: float) -> np.ndarray:
-    """Map [lo, hi] linearly onto start..stop; a zero-width range maps to the middle."""
-    if hi == lo:
+    """Map [lo, hi] linearly onto start..stop; a zero-width range maps to the middle.
+    Halves keep hi - lo finite for any finite bounds; halving a normal float is exact."""
+    if hi / 2 == lo / 2:
         return np.full(len(values), (start + stop) / 2)
-    return start + (values - lo) * ((stop - start) / (hi - lo))
+    return start + (values / 2 - lo / 2) * ((stop - start) / (hi / 2 - lo / 2))
 
 
 def _draw_polyline(canvas: np.ndarray, px: np.ndarray, py: np.ndarray, rgb, thickness: int) -> None:

@@ -135,7 +135,9 @@ def softmax_select(scores: np.ndarray, temperature: float, rng: np.random.Genera
     logits = logits - logits.max()
     weights = np.exp(logits)
     probs = weights / weights.sum()
-    return probs, int(rng.choice(scores.size, p=probs))
+    # The inverse-CDF draw of rng.choice(scores.size, p=probs), without its checks.
+    cdf = probs.cumsum()
+    return probs, int((cdf / cdf[-1]).searchsorted(rng.random(), side="right"))
 
 
 def q_learning_episode(env: CircuitEnv, agent: DQNAgent, rng: np.random.Generator,

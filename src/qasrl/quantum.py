@@ -1,13 +1,15 @@
-"""Exact density-matrix simulation of small gate-model circuits.
+"""Exact mixed-state simulation of small gate-model circuits.
 
-States are 2^n x 2^n density matrices with qubit 0 as the leftmost
-(most significant) tensor factor.  Gate noise is a depolarizing channel
-on the qubits a gate touches; readout noise degrades expectation values
-without touching the state.
+States are the 4^n real Pauli coordinates Tr(rho P_i), Pauli strings in
+I, X, Y, Z order with qubit 0 as the leftmost (most significant) factor.
+Gate noise is a depolarizing channel on the qubits a gate touches; a
+gate with its noise is one cached real Pauli-transfer matrix.  Readout
+noise degrades expectation values without touching the state.
 """
 
 import enum
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +28,7 @@ _ROT_PI4 = np.array(
 _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
-_PAULIS = {"X": _X, "Y": _Y, "Z": _Z}
+_PAULI_1Q = (_I2, _X, _Y, _Z)
 
 
 class GateKind(enum.Enum):
@@ -105,20 +107,51 @@ class NoiseSpec:
         return self.gate_error.get(kind, 0.0)
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=None)
+def _pauli_basis(n_qubits: int) -> np.ndarray:
+    """The 4^n Pauli strings as a read-only (4^n, 2^n, 2^n) stack in coordinate order."""
+    strings = itertools.product(_PAULI_1Q, repeat=n_qubits)
+    basis = np.array([functools.reduce(np.kron, s, np.eye(1, dtype=complex)) for s in strings])
+    basis.setflags(write=False)
+    return basis
+
+
+@functools.lru_cache(maxsize=None)
+def _local_indices(n_qubits: int) -> np.ndarray:
+    """Coordinates of X, Y, Z on each single qubit, in qubit order."""
+    return np.array([k * 4 ** (n_qubits - 1 - q) for q in range(n_qubits) for k in (1, 2, 3)])
+
+
+@dataclass(frozen=True, init=False)
 class DensityMatrix:
-    """An n-qubit mixed state; ``elements`` is Hermitian, PSD, trace one."""
+    """An n-qubit mixed state held as its read-only Pauli coordinates ``pauli[i]``
+    = Tr(rho P_i), complex only for a non-Hermitian matrix (``validate`` rejects
+    it).  ``elements``, the 2^n x 2^n matrix, is rebuilt from them on access."""
 
     n_qubits: int
-    elements: np.ndarray
+    pauli: np.ndarray
 
-    def __post_init__(self):
-        dim = 2**self.n_qubits
-        mat = np.asarray(self.elements, dtype=complex)
+    def __init__(self, n_qubits: int, elements):
+        dim = 2**n_qubits
+        mat = np.asarray(elements, dtype=complex)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected shape {(dim, dim)}, got {mat.shape}")
+        coords = np.einsum("pij,ji->p", _pauli_basis(n_qubits), mat)
+        self._hold(n_qubits, coords if coords.imag.any() else coords.real.copy())
+
+    def _hold(self, n_qubits: int, pauli: np.ndarray) -> "DensityMatrix":
+        """Set both fields, ``pauli`` read-only; on a bare ``__new__`` it skips the conversion."""
+        pauli.setflags(write=False)
+        object.__setattr__(self, "n_qubits", n_qubits)
+        object.__setattr__(self, "pauli", pauli)
+        return self
+
+    @property
+    def elements(self) -> np.ndarray:
+        """The density matrix sum_i pauli[i] P_i / 2^n, read-only."""
+        mat = np.tensordot(self.pauli, _pauli_basis(self.n_qubits), axes=1) / 2**self.n_qubits
         mat.setflags(write=False)
-        object.__setattr__(self, "elements", mat)
+        return mat
 
     def validate(self, atol: float = 1e-9) -> None:
         """Raise if the matrix is not a physical state to within ``atol``."""
@@ -133,9 +166,10 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class TargetState:
-    """A pure reference state given by its unit-norm amplitude vector."""
+    """A pure reference state: its unit-norm amplitude vector and Pauli coordinates."""
 
     amplitudes: np.ndarray
+    pauli: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vec = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
@@ -146,6 +180,7 @@ class TargetState:
             raise ValueError("target state is not normalized")
         vec.setflags(write=False)
         object.__setattr__(self, "amplitudes", vec)
+        object.__setattr__(self, "pauli", DensityMatrix(n, np.outer(vec, vec.conj())).pauli.real)
 
     @property
     def n_qubits(self) -> int:
@@ -157,98 +192,61 @@ def bell_state() -> TargetState:
     return TargetState(np.array([1, 0, 0, 1], dtype=complex) / _SQRT2)
 
 
+@functools.lru_cache(maxsize=None)
 def initial_state(n_qubits: int) -> DensityMatrix:
-    """|0...0><0...0| on ``n_qubits`` qubits."""
+    """|0...0><0...0| on ``n_qubits`` qubits; immutable, so built once per count."""
     if n_qubits < 1:
         raise ValueError(f"need at least one qubit, got {n_qubits}")
-    dim = 2**n_qubits
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[0, 0] = 1.0
-    return DensityMatrix(n_qubits, mat)
+    return DensityMatrix(n_qubits, np.diag(np.eye(2**n_qubits)[0]))
 
 
-def _embed_single(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    left = np.eye(2**qubit, dtype=complex)
-    right = np.eye(2 ** (n_qubits - qubit - 1), dtype=complex)
-    return np.kron(np.kron(left, op), right)
-
-
-@functools.lru_cache(maxsize=None)
 def gate_unitary(action: GateAction, n_qubits: int) -> np.ndarray:
     """Full 2^n x 2^n unitary for one gate placement."""
     for q in action.qubits():
         if q >= n_qubits:
             raise ValueError(f"qubit {q} out of range for {n_qubits} qubits")
+
+    def full(ops: dict) -> np.ndarray:  # the identity on every qubit not in ``ops``
+        return functools.reduce(np.kron, [ops.get(q, _I2) for q in range(n_qubits)])
+
     if action.kind is GateKind.CNOT:
-        mat = _embed_single(_P0, action.control, n_qubits) + _embed_single(
-            _P1, action.control, n_qubits
-        ) @ _embed_single(_X, action.target, n_qubits)
-    else:
-        mat = _embed_single(_SINGLE_QUBIT_MATRIX[action.kind], action.target, n_qubits)
-    mat.setflags(write=False)
-    return mat
+        return full({action.control: _P0}) + full({action.control: _P1, action.target: _X})
+    return full({action.target: _SINGLE_QUBIT_MATRIX[action.kind]})
 
 
-def _partial_trace(mat: np.ndarray, traced: tuple[int, ...], n_qubits: int) -> np.ndarray:
-    """Trace out ``traced`` qubits; remaining qubits keep their relative order."""
-    tensor = mat.reshape((2,) * (2 * n_qubits))
-    for q in sorted(traced, reverse=True):
-        half = tensor.ndim // 2
-        tensor = np.trace(tensor, axis1=q, axis2=half + q)
-    dim = 2 ** (n_qubits - len(traced))
-    return tensor.reshape(dim, dim)
-
-
-def _mix_subsystem(mat: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
-    """Replace ``qubits`` with the maximally mixed state, keeping the rest."""
-    qubits = tuple(sorted(qubits))
-    rest = [q for q in range(n_qubits) if q not in qubits]
-    reduced = _partial_trace(mat, qubits, n_qubits)
-    sub_dim = 2 ** len(qubits)
-    combined = np.kron(reduced, np.eye(sub_dim, dtype=complex) / sub_dim)
-    # combined orders qubits as rest + qubits; permute back to 0..n-1
-    order = rest + list(qubits)
-    inv = np.argsort(order)
-    tensor = combined.reshape((2,) * (2 * n_qubits))
-    tensor = tensor.transpose(list(inv) + [n_qubits + i for i in inv])
-    return np.ascontiguousarray(tensor.reshape(mat.shape))
+@functools.lru_cache(maxsize=None)
+def transfer_matrix(action: GateAction, n_qubits: int, p: float = 0.0) -> np.ndarray:
+    """Read-only Pauli-transfer matrix T of one gate placement followed by
+    depolarizing noise ``p`` on its qubits; a state's ``pauli`` maps to
+    T @ pauli.  The gate part is Tr(P_i U P_j U^dag) / 2^n; the noise scales
+    by (1 - p) the rows whose Pauli string is not the identity on those qubits.
+    """
+    unitary = gate_unitary(action, n_qubits)
+    basis = _pauli_basis(n_qubits)
+    table = np.einsum("ikl,jlk->ij", basis, unitary @ basis @ unitary.conj().T).real / 2**n_qubits
+    digits = np.arange(4**n_qubits)[:, None] // 4 ** (n_qubits - 1 - np.array(action.qubits())) % 4
+    table[digits.any(axis=1)] *= 1.0 - p
+    table.setflags(write=False)
+    return table
 
 
 def apply_gate(state: DensityMatrix, action: GateAction, noise: NoiseSpec | None = None) -> DensityMatrix:
-    """Conjugate by the gate unitary, then depolarize the touched qubits.
-
-    The depolarizing channel with probability p maps rho to
-    (1 - p) * rho + p * (maximally mixed on the touched qubits).
-    """
-    unitary = gate_unitary(action, state.n_qubits)
-    mat = unitary @ state.elements @ unitary.conj().T
+    """Conjugate by the gate unitary, then depolarize the touched qubits with
+    the kind's error rate: one product with the cached ``transfer_matrix``."""
     p = noise.gate_p(action.kind) if noise is not None else 0.0
-    if p > 0.0:
-        mat = (1.0 - p) * mat + p * _mix_subsystem(mat, action.qubits(), state.n_qubits)
-    return DensityMatrix(state.n_qubits, mat)
+    table = transfer_matrix(action, state.n_qubits, p)
+    return DensityMatrix.__new__(DensityMatrix)._hold(state.n_qubits, table.dot(state.pauli))
 
 
 def pauli_expectations(state: DensityMatrix, noise: NoiseSpec | None = None) -> np.ndarray:
-    """Per-qubit <X>, <Y>, <Z> in qubit order, degraded by readout error.
-
-    Returns a float vector of length 3 * n_qubits, each entry in [-1, 1].
-    """
+    """Per-qubit <X>, <Y>, <Z> in qubit order, degraded by readout error:
+    a float vector of length 3 * n_qubits, each entry in [-1, 1]."""
     scale = 1.0 - 2.0 * (noise.meas_error if noise is not None else 0.0)
-    n = state.n_qubits
-    out = np.empty(3 * n)
-    for q in range(n):
-        others = tuple(i for i in range(n) if i != q)
-        reduced = _partial_trace(state.elements, others, n)
-        for k, name in enumerate(("X", "Y", "Z")):
-            out[3 * q + k] = scale * np.trace(reduced @ _PAULIS[name]).real
-    return np.clip(out, -1.0, 1.0)
+    return (scale * state.pauli[_local_indices(state.n_qubits)].real).clip(-1.0, 1.0)
 
 
 def fidelity(state: DensityMatrix, target: TargetState) -> float:
     """<psi| rho |psi> against a pure target; linear in rho, in [0, 1]."""
-    if target.n_qubits != state.n_qubits:
-        raise ValueError(
-            f"target has {target.n_qubits} qubits, state has {state.n_qubits}"
-        )
-    vec = target.amplitudes
-    return float(np.real(np.vdot(vec, state.elements @ vec)))
+    if target.pauli.shape != state.pauli.shape:
+        raise ValueError(f"target has {target.n_qubits} qubits, state has {state.n_qubits}")
+    return float(target.pauli.dot(state.pauli).real) / 2**state.n_qubits
