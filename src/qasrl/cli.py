@@ -82,7 +82,7 @@ def main(argv=None) -> int:
     handler = {"run": _cmd_run, "curriculum": _cmd_curriculum, "plot": _cmd_plot}[args.command]
     try:
         return handler(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,7 +5,9 @@ bare reward; everything else bootstraps through a separate target
 network that is synced only every few episodes.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,32 +24,50 @@ class Transition:
     next_state: np.ndarray | None
 
 
+class Batch(NamedTuple):
+    """Transitions as row-aligned arrays; next_states rows count only where live."""
+
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+    live: np.ndarray
+
+
 class ReplayMemory:
-    """Bounded ring buffer; once full, new pushes overwrite the oldest."""
+    """Bounded ring of row arrays, allocated at the first push; push n lands in row n % capacity."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._buffer: list[Transition] = []
-        self._cursor = 0
+        self.states = self.actions = self.rewards = self.next_states = self.live = None
+        self._pushes = 0
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        return min(self._pushes, self.capacity)
 
     def push(self, transition: Transition) -> None:
-        if len(self._buffer) < self.capacity:
-            self._buffer.append(transition)
-        else:
-            self._buffer[self._cursor] = transition
-            self._cursor = (self._cursor + 1) % self.capacity
+        if self.states is None:
+            rows, width = self.capacity, len(transition.state)
+            self.states, self.next_states = np.empty((rows, width)), np.empty((rows, width))
+            self.actions, self.rewards = np.empty(rows, dtype=int), np.empty(rows)
+            self.live = np.zeros(rows, dtype=bool)
+        slot = self._pushes % self.capacity
+        self._pushes += 1
+        self.states[slot] = transition.state
+        self.actions[slot] = transition.action
+        self.rewards[slot] = transition.reward
+        self.live[slot] = live = transition.next_state is not None
+        self.next_states[slot] = transition.next_state if live else 0.0
 
-    def sample(self, k: int, rng: np.random.Generator) -> list[Transition]:
+    def sample(self, k: int, rng: np.random.Generator) -> Batch:
         """k distinct transitions, uniformly without replacement."""
-        if k > len(self._buffer):
-            raise ValueError(f"cannot sample {k} from {len(self._buffer)} transitions")
-        idx = rng.choice(len(self._buffer), size=k, replace=False)
-        return [self._buffer[i] for i in idx]
+        if k > len(self) or self.states is None:
+            raise ValueError(f"cannot sample {k} from {len(self)} transitions")
+        idx = rng.choice(len(self), size=k, replace=False)
+        return Batch(self.states[idx], self.actions[idx], self.rewards[idx],
+                     self.next_states[idx], self.live[idx])
 
 
 @dataclass
@@ -73,14 +93,22 @@ class DQNConfig:
     epsilon_decay: float = 0.99
     epsilon_min: float = 0.02
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        if self.batch_size > self.replay_capacity:
+            raise ValueError(f"batch_size {self.batch_size} exceeds replay_capacity {self.replay_capacity}")
+        if not 0.0 <= self.gamma < 1.0:
+            raise ValueError(f"gamma out of [0, 1): {self.gamma}")
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
-def compute_targets(batch: list[Transition], target_net: QNetwork, gamma: float) -> np.ndarray:
+
+def compute_targets(batch: Batch, target_net: QNetwork, gamma: float) -> np.ndarray:
     """r + gamma * max_a' Q(s', a'; target), or just r when terminal."""
-    targets = np.array([t.reward for t in batch], dtype=float)
-    live = [i for i, t in enumerate(batch) if t.next_state is not None]
-    if live:
-        next_states = np.stack([batch[i].next_state for i in live])
-        targets[live] += gamma * target_net.forward(next_states).max(axis=1)
+    targets = batch.rewards.copy()
+    if batch.live.any():
+        targets[batch.live] += gamma * target_net.forward(batch.next_states[batch.live]).max(axis=1)
     return targets
 
 
@@ -88,16 +116,17 @@ def optimize(policy_net: QNetwork, target_net: QNetwork, memory: ReplayMemory,
              config: DQNConfig, adam: AdamState, rng: np.random.Generator) -> float | None:
     """One replay-sampled gradient step; no-op (None) while memory is short.
 
-    Returns the pre-step batch loss otherwise.
+    Returns the pre-step batch loss otherwise; a loss that is not finite
+    raises FloatingPointError before the step.
     """
     if len(memory) < max(config.batch_size, config.min_replay):
         return None
     batch = memory.sample(config.batch_size, rng)
-    states = np.stack([t.state for t in batch])
-    actions = np.array([t.action for t in batch], dtype=int)
     targets = compute_targets(batch, target_net, config.gamma)
-    loss, grads = mse_loss_and_grad(policy_net, states, actions, targets)
-    adam_step(policy_net, adam, grads)
+    loss, grad = mse_loss_and_grad(policy_net, batch.states, batch.actions, targets)
+    if not math.isfinite(loss):
+        raise FloatingPointError(f"TD loss is {loss}")
+    adam_step(policy_net, adam, grad)
     return loss
 
 
@@ -119,9 +148,7 @@ def update_target(policy_net: QNetwork, target_net: QNetwork) -> None:
     """Copy policy parameters into the target network, in place."""
     if policy_net.layer_sizes != target_net.layer_sizes:
         raise ValueError("policy and target architectures differ")
-    for layer in range(len(policy_net.weights)):
-        target_net.weights[layer][:] = policy_net.weights[layer]
-        target_net.biases[layer][:] = policy_net.biases[layer]
+    target_net.params[:] = policy_net.params
 
 
 class DQNAgent:

@@ -269,17 +269,28 @@ class RunLog:
             cells = line.split(",")
             if len(cells) != len(CSV_COLUMNS):
                 raise ValueError(f"{path} line {lineno}: {len(cells)} cells, expected {len(CSV_COLUMNS)}")
-            rows.append(RunRow(*(int(cell) if col in _INT_COLUMNS else float(cell)
-                                 for col, cell in zip(CSV_COLUMNS, cells))))
+            try:
+                rows.append(RunRow(*(int(cell) if col in _INT_COLUMNS else float(cell)
+                                     for col, cell in zip(CSV_COLUMNS, cells))))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
         return cls(rows)
 
     def rolling_mean(self, window: int = 50) -> np.ndarray:
-        """Trailing mean per episode; early episodes average what exists."""
+        """Trailing mean per episode; early episodes average what exists.
+
+        Prefix sums of scores near the float limit would overflow, so
+        scores beyond 2**1000 are scaled down by an exact power of two
+        first (leaving 2**24 episodes of headroom); smaller scores, those
+        of every real run, are summed as they are.
+        """
         scores = self.scores()
-        sums = np.cumsum(np.concatenate(([0.0], scores)))
+        _, exponent = np.frexp(np.abs(scores).max(initial=0.0))
+        shift = max(int(exponent) - 1000, 0)
+        sums = np.cumsum(np.concatenate(([0.0], np.ldexp(scores, -shift))))
         idx = np.arange(len(scores))
         lo = np.maximum(idx - window + 1, 0)
-        return (sums[idx + 1] - sums[lo]) / (idx + 1 - lo)
+        return np.ldexp((sums[idx + 1] - sums[lo]) / (idx + 1 - lo), shift)
 
 
 def run_single(config: ExperimentConfig) -> RunLog:

@@ -6,7 +6,7 @@ actually taken in each sampled transition.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,16 +29,23 @@ class QNetwork:
             raise ValueError(f"unsupported activation {activation!r}")
         self.layer_sizes = sizes
         self.activation = activation
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            if rng is None:
-                w = np.zeros((fan_in, fan_out))
-            else:
-                bound = 1.0 / np.sqrt(fan_in)
-                w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-            self.weights.append(w)
-            self.biases.append(np.zeros(fan_out))
+        # Every parameter in one vector, W0, b0, W1, b1, ...: the snapshot byte order.
+        self.params = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:])))
+        self.weights, self.biases = self.layer_views(self.params)
+        if rng is not None:
+            for w in self.weights:
+                bound = 1.0 / np.sqrt(w.shape[0])
+                w[:] = rng.uniform(-bound, bound, size=w.shape)
+
+    def layer_views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views into a vector laid out like ``params``."""
+        weights, biases, cursor = [], [], 0
+        for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
+            weights.append(flat[cursor:cursor + fan_in * fan_out].reshape(fan_in, fan_out))
+            cursor += fan_in * fan_out
+            biases.append(flat[cursor:cursor + fan_out])
+            cursor += fan_out
+        return weights, biases
 
     @property
     def input_dim(self) -> int:
@@ -67,8 +74,8 @@ def mse_loss_and_grad(net: QNetwork, inputs: np.ndarray, actions: np.ndarray, ta
     """Mean squared TD error over a batch, with gradients per parameter.
 
     loss = mean over the batch of (Q(s, a) - target)^2, where only the
-    taken action's output contributes.  Returns (loss, grads) with grads
-    a list of (dW, db) matching net.weights / net.biases.
+    taken action's output contributes.  Returns (loss, grad) with grad
+    laid out like net.params; net.layer_views(grad) splits it per layer.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     acts_idx = np.asarray(actions, dtype=int)
@@ -98,62 +105,59 @@ def mse_loss_and_grad(net: QNetwork, inputs: np.ndarray, actions: np.ndarray, ta
 
     delta = np.zeros_like(out)
     delta[rows, acts_idx] = 2.0 * err / batch
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.weights)
+    grad = np.empty_like(net.params)
+    dws, dbs = net.layer_views(grad)
     for layer in range(len(net.weights) - 1, -1, -1):
-        grads[layer] = (activations[layer].T @ delta, delta.sum(axis=0))
+        np.matmul(activations[layer].T, delta, out=dws[layer])
+        delta.sum(axis=0, out=dbs[layer])
         if layer > 0:
             delta = (delta @ net.weights[layer].T) * (pre_acts[layer - 1] > 0)
-    return loss, grads
+    return loss, grad
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """First/second moment vectors, laid out like QNetwork.params, and the step counter."""
 
     learning_rate: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     t: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
     @classmethod
     def for_network(cls, net: QNetwork, learning_rate: float = 0.001,
                     beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
-        state = cls(learning_rate, beta1, beta2, epsilon)
-        for w, b in zip(net.weights, net.biases):
-            state.m.append((np.zeros_like(w), np.zeros_like(b)))
-            state.v.append((np.zeros_like(w), np.zeros_like(b)))
-        return state
+        return cls(learning_rate, beta1, beta2, epsilon,
+                   m=np.zeros_like(net.params), v=np.zeros_like(net.params))
 
 
-def adam_step(net: QNetwork, state: AdamState, grads) -> None:
-    """One bias-corrected Adam update, in place."""
+def adam_step(net: QNetwork, state: AdamState, grad: np.ndarray) -> None:
+    """One bias-corrected Adam update of net.params by a like-shaped grad, in place."""
     state.t += 1
     corr1 = 1.0 - state.beta1**state.t
     corr2 = 1.0 - state.beta2**state.t
-    for layer, (dw, db) in enumerate(grads):
-        for param, grad, slot in (
-            (net.weights[layer], dw, 0),
-            (net.biases[layer], db, 1),
-        ):
-            m = state.m[layer][slot]
-            v = state.v[layer][slot]
-            m *= state.beta1
-            m += (1.0 - state.beta1) * grad
-            v *= state.beta2
-            v += (1.0 - state.beta2) * grad * grad
-            param -= state.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + state.epsilon)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grad * grad
+    net.params -= state.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + state.epsilon)
 
 
 def clone_parameters(net: QNetwork) -> QNetwork:
-    """Deep copy: same architecture, independent parameter arrays."""
+    """Deep copy: same architecture, independent parameter vector."""
     copy = QNetwork(net.layer_sizes, activation=net.activation)
-    for layer in range(len(net.weights)):
-        copy.weights[layer][:] = net.weights[layer]
-        copy.biases[layer][:] = net.biases[layer]
+    copy.params[:] = net.params
     return copy
+
+
+def file_error(path, exc: Exception) -> ValueError:
+    """A one-line ValueError naming the file whose content raised ``exc``."""
+    reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ValueError(f"{path}: {reason}")
 
 
 def save_policy(net: QNetwork, path) -> None:
@@ -164,30 +168,26 @@ def save_policy(net: QNetwork, path) -> None:
         "layer_sizes": net.layer_sizes,
         "activation": net.activation,
     }
-    blob = b"".join(
-        arr.astype("<f8").tobytes()
-        for w, b in zip(net.weights, net.biases)
-        for arr in (w, b)
-    )
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        fh.write(blob)
+        fh.write(net.params.astype("<f8", copy=False).tobytes())
 
 
 def load_policy(path) -> QNetwork:
+    """Read a save_policy snapshot; a malformed one raises a ValueError
+    naming the file."""
     raw = Path(path).read_bytes()
-    newline = raw.index(b"\n")
-    header = json.loads(raw[:newline].decode("utf-8"))
-    if header.get("format_version") != SNAPSHOT_FORMAT_VERSION:
-        raise ValueError(f"unsupported snapshot format {header.get('format_version')!r}")
-    net = QNetwork(header["layer_sizes"], activation=header["activation"])
-    flat = np.frombuffer(raw[newline + 1 :], dtype="<f8")
-    expected = sum(w.size + b.size for w, b in zip(net.weights, net.biases))
-    if flat.size != expected:
-        raise ValueError(f"snapshot holds {flat.size} parameters, expected {expected}")
-    cursor = 0
-    for layer in range(len(net.weights)):
-        for param in (net.weights[layer], net.biases[layer]):
-            param[:] = flat[cursor : cursor + param.size].reshape(param.shape)
-            cursor += param.size
+    header_line, newline, blob = raw.partition(b"\n")
+    try:
+        if not newline:
+            raise ValueError("no header line")
+        header = json.loads(header_line)
+        if header.get("format_version") != SNAPSHOT_FORMAT_VERSION:
+            raise ValueError(f"unsupported snapshot format {header.get('format_version')!r}")
+        net = QNetwork(header["layer_sizes"], activation=header["activation"])
+        if len(blob) != 8 * net.params.size:
+            raise ValueError(f"snapshot holds {len(blob) / 8:g} parameters, expected {net.params.size}")
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise file_error(path, exc) from None
+    net.params[:] = np.frombuffer(blob, dtype="<f8")
     return net

@@ -24,7 +24,7 @@ from .dqn import (
     select_action_greedy,
 )
 from .env import CircuitEnv, EpisodeRecord
-from .network import QNetwork, clone_parameters, load_policy, save_policy
+from .network import QNetwork, clone_parameters, file_error, load_policy, save_policy
 
 LIBRARY_FORMAT_VERSION = 1
 
@@ -117,9 +117,9 @@ class PolicyLibrary:
     def append(self, net: QNetwork, tag: str) -> None:
         """Store a frozen deep copy; its reuse stats start at zero."""
         frozen = clone_parameters(net)
-        for w, b in zip(frozen.weights, frozen.biases):
-            w.setflags(write=False)
-            b.setflags(write=False)
+        # Views made before the vector froze stay writable unless frozen too.
+        for array in (frozen.params, *frozen.weights, *frozen.biases):
+            array.setflags(write=False)
         self._policies.append(frozen)
         self.tags.append(tag)
         self.stats.extend()
@@ -172,7 +172,7 @@ def pi_exploration_episode(env: CircuitEnv, agent: DQNAgent, past_policy: QNetwo
     obs = env.reset()
     steps_completed = 0
     while True:
-        if rng.random() <= params.follow_probability(steps_completed):
+        if rng.random() < params.follow_probability(steps_completed):
             action = select_action_greedy(past_policy, obs)
         else:
             action = select_action_greedy(agent.policy_net, obs)
@@ -197,6 +197,12 @@ class PPRConfig:
     follow_decay: float = 0.95
     use_epsilon_greedy: bool = False
     dqn: DQNConfig = field(default_factory=DQNConfig)
+
+    def __post_init__(self):
+        if self.episodes < 0:
+            raise ValueError(f"episodes must not be negative, got {self.episodes}")
+        if self.temperature_step < 0:
+            raise ValueError(f"temperature_step must not be negative, got {self.temperature_step}")
 
 
 @dataclass(frozen=True)
@@ -225,7 +231,8 @@ def ppr_run(env: CircuitEnv, library: PolicyLibrary, config: PPRConfig,
     With an empty library every episode is plain q-learning; pass
     ``use_epsilon_greedy=True`` for the from-scratch baseline.  The
     returned log has one entry per episode with the slot that drove it
-    and the selection-time temperature.
+    and the selection-time temperature.  A TD loss that is not finite
+    raises FloatingPointError naming the episode.
     """
     agent_rng, behavior_rng = rng.spawn(2)
     agent = DQNAgent(env.observation_dim, env.n_actions, config.dqn, agent_rng)
@@ -240,12 +247,15 @@ def ppr_run(env: CircuitEnv, library: PolicyLibrary, config: PPRConfig,
         started = time.perf_counter()
         selection_temperature = stats.temperature
         _, slot = softmax_select(stats.mean_scores, selection_temperature, behavior_rng)
-        if slot == 0:
-            record = q_learning_episode(env, agent, behavior_rng, epsilon=epsilon)
-        else:
-            record = pi_exploration_episode(
-                env, agent, library.policy(slot), exploration, behavior_rng
-            )
+        try:
+            if slot == 0:
+                record = q_learning_episode(env, agent, behavior_rng, epsilon=epsilon)
+            else:
+                record = pi_exploration_episode(
+                    env, agent, library.policy(slot), exploration, behavior_rng
+                )
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"learning went non-finite in episode {episode}: {exc}") from None
         stats.record(slot, record.score)
         stats.advance_temperature()
         if config.use_epsilon_greedy:
@@ -288,10 +298,14 @@ def load_library(directory) -> PolicyLibrary:
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no library manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format_version") != LIBRARY_FORMAT_VERSION:
-        raise ValueError(f"unsupported library format {manifest.get('format_version')!r}")
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        if manifest.get("format_version") != LIBRARY_FORMAT_VERSION:
+            raise ValueError(f"unsupported library format {manifest.get('format_version')!r}")
+        entries = [(entry["file"], entry["tag"]) for entry in manifest["policies"]]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise file_error(manifest_path, exc) from None
     library = PolicyLibrary()
-    for entry in manifest["policies"]:
-        library.append(load_policy(directory / entry["file"]), entry["tag"])
+    for filename, tag in entries:
+        library.append(load_policy(directory / filename), tag)
     return library

@@ -111,26 +111,24 @@ def finite_difference_max_rel_err(rng: np.random.Generator, layer_sizes,
         inputs = x[None, :]
         actions = np.array([action])
         targets = np.array([target])
-        _, grads = mse_loss_and_grad(net, inputs, actions, targets)
+        _, grad = mse_loss_and_grad(net, inputs, actions, targets)
 
         def loss_at():
             q = net.forward(x)[action]
             return (q - target) ** 2
 
-        for layer, (dw, db) in enumerate(grads):
-            for param, grad in ((net.weights[layer], dw), (net.biases[layer], db)):
-                flat = param.reshape(-1)
-                gflat = grad.reshape(-1)
-                for i in range(flat.size):
-                    keep = flat[i]
-                    flat[i] = keep + delta
-                    up = loss_at()
-                    flat[i] = keep - delta
-                    down = loss_at()
-                    flat[i] = keep
-                    fd = (up - down) / (2 * delta)
-                    rel = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd), 1e-6)
-                    worst = max(worst, rel)
+        # grad is laid out like net.params: one loop covers every weight and bias
+        flat = net.params
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + delta
+            up = loss_at()
+            flat[i] = keep - delta
+            down = loss_at()
+            flat[i] = keep
+            fd = (up - down) / (2 * delta)
+            rel = abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-6)
+            worst = max(worst, rel)
     return worst
 
 
@@ -159,3 +157,16 @@ def bell_solver_network() -> QNetwork:
     net.weights[1][:] = w2
     net.biases[1][:] = b2
     return net
+
+
+def poison_agents(monkeypatch) -> None:
+    """Make every agent ppr_run builds start with one NaN policy weight."""
+    from qasrl import ppr
+    from qasrl.dqn import DQNAgent
+
+    class PoisonedAgent(DQNAgent):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.policy_net.weights[0][0, 0] = np.nan
+
+    monkeypatch.setattr(ppr, "DQNAgent", PoisonedAgent)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import constant_output_network
 from qasrl.dqn import (
+    Batch,
     DQNAgent,
     DQNConfig,
     ReplayMemory,
@@ -23,13 +24,21 @@ def make_transition(value: float, terminal: bool = True, dim: int = 6) -> Transi
     return Transition(state, 0, value, None if terminal else state.copy())
 
 
+def batch_of(*transitions: Transition) -> Batch:
+    """The transitions as a Batch, in the order given."""
+    memory = ReplayMemory(len(transitions))
+    for t in transitions:
+        memory.push(t)
+    return Batch(memory.states, memory.actions, memory.rewards, memory.next_states, memory.live)
+
+
 class TestReplayMemory:
     def test_overwrites_oldest_when_full(self):
         memory = ReplayMemory(2)
         a, b, c = (make_transition(v) for v in (1.0, 2.0, 3.0))
         for t in (a, b, c):
             memory.push(t)
-        held = {memory._buffer[i].reward for i in range(len(memory))}
+        held = set(memory.rewards[:len(memory)])
         assert held == {2.0, 3.0}
 
     def test_capacity_one(self):
@@ -37,13 +46,41 @@ class TestReplayMemory:
         for v in (1.0, 2.0, 3.0):
             memory.push(make_transition(v))
         assert len(memory) == 1
-        assert memory._buffer[0].reward == 3.0
+        assert memory.rewards[0] == 3.0
 
     def test_length_never_exceeds_capacity(self):
         memory = ReplayMemory(100)
         for v in range(250):
             memory.push(make_transition(float(v)))
         assert len(memory) == 100
+
+    def test_wrap_around_keeps_the_slot_order(self):
+        # push n lands in row n % capacity, as the list-backed ring did
+        memory = ReplayMemory(3)
+        for v in range(5):
+            memory.push(make_transition(float(v), terminal=v % 2 == 0))
+        np.testing.assert_array_equal(memory.rewards, [3.0, 4.0, 2.0])
+        np.testing.assert_array_equal(memory.live, [True, False, False])
+        np.testing.assert_array_equal(memory.states[:, 0], [3.0, 4.0, 2.0])
+        np.testing.assert_array_equal(memory.next_states[0], np.full(6, 3.0))
+
+    def test_arrays_wait_for_the_first_push(self):
+        memory = ReplayMemory(10_000)
+        assert memory.states is None
+        with pytest.raises(ValueError):
+            memory.sample(0, np.random.default_rng(0))
+        memory.push(make_transition(1.0, dim=4))
+        assert memory.states.shape == memory.next_states.shape == (10_000, 4)
+        assert memory.actions.shape == memory.rewards.shape == memory.live.shape == (10_000,)
+
+    def test_sample_rows_stay_aligned(self):
+        memory = ReplayMemory(20)
+        for v in range(20):
+            memory.push(make_transition(float(v), terminal=v % 3 == 0))
+        batch = memory.sample(12, np.random.default_rng(2))
+        np.testing.assert_array_equal(batch.states[:, 0], batch.rewards)
+        np.testing.assert_array_equal(batch.live, batch.rewards % 3 != 0)
+        np.testing.assert_array_equal(batch.next_states[batch.live, 0], batch.rewards[batch.live])
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
@@ -54,7 +91,7 @@ class TestReplayMemory:
         for v in range(10):
             memory.push(make_transition(float(v)))
         batch = memory.sample(10, np.random.default_rng(0))
-        assert sorted(t.reward for t in batch) == [float(v) for v in range(10)]
+        assert sorted(batch.rewards) == [float(v) for v in range(10)]
 
     def test_sample_without_replacement(self):
         memory = ReplayMemory(50)
@@ -63,8 +100,7 @@ class TestReplayMemory:
         rng = np.random.default_rng(1)
         for _ in range(20):
             batch = memory.sample(30, rng)
-            rewards = [t.reward for t in batch]
-            assert len(set(rewards)) == 30
+            assert len(set(batch.rewards)) == 30
 
     def test_sample_more_than_held_raises(self):
         memory = ReplayMemory(10)
@@ -76,9 +112,9 @@ class TestReplayMemory:
         memory = ReplayMemory(100)
         for v in range(100):
             memory.push(make_transition(float(v)))
-        first = [t.reward for t in memory.sample(64, np.random.default_rng(7))]
-        second = [t.reward for t in memory.sample(64, np.random.default_rng(7))]
-        assert first == second
+        first = memory.sample(64, np.random.default_rng(7)).rewards
+        second = memory.sample(64, np.random.default_rng(7)).rewards
+        np.testing.assert_array_equal(first, second)
 
     def test_single_draws_are_uniform(self):
         # every element within 5 sigma of the binomial expectation
@@ -89,7 +125,7 @@ class TestReplayMemory:
         draws = 100_000
         counts = np.zeros(100)
         for _ in range(draws):
-            counts[int(memory.sample(1, rng)[0].reward)] += 1
+            counts[int(memory.sample(1, rng).rewards[0])] += 1
         expected = draws / 100
         sigma = np.sqrt(draws * 0.01 * 0.99)
         assert np.all(np.abs(counts - expected) <= 5 * sigma)
@@ -98,33 +134,33 @@ class TestReplayMemory:
 class TestComputeTargets:
     def test_terminal_is_bare_reward(self):
         net = constant_output_network([5.0, 5.0], 6)
-        batch = [Transition(np.zeros(6), 0, 0.97, None)]
+        batch = batch_of(Transition(np.zeros(6), 0, 0.97, None))
         np.testing.assert_allclose(compute_targets(batch, net, 0.99), [0.97], atol=1e-12)
 
     def test_bootstraps_through_max(self):
         net = constant_output_network([0.3, 0.7, 0.1], 6)
-        batch = [Transition(np.zeros(6), 1, -0.01, np.ones(6))]
+        batch = batch_of(Transition(np.zeros(6), 1, -0.01, np.ones(6)))
         np.testing.assert_allclose(
             compute_targets(batch, net, 0.99), [-0.01 + 0.99 * 0.7], atol=1e-12
         )
 
     def test_gamma_zero_ignores_next_state(self):
         net = constant_output_network([9.0, 9.0], 6)
-        batch = [Transition(np.zeros(6), 0, 0.5, np.ones(6))]
+        batch = batch_of(Transition(np.zeros(6), 0, 0.5, np.ones(6)))
         np.testing.assert_allclose(compute_targets(batch, net, 0.0), [0.5], atol=1e-12)
 
     def test_zero_target_network(self):
         net = QNetwork([6, 8, 3])
-        batch = [Transition(np.zeros(6), 0, -0.01, np.ones(6))]
+        batch = batch_of(Transition(np.zeros(6), 0, -0.01, np.ones(6)))
         np.testing.assert_allclose(compute_targets(batch, net, 0.99), [-0.01], atol=1e-12)
 
     def test_mixed_batch(self):
         net = constant_output_network([1.0, 2.0], 6)
-        batch = [
+        batch = batch_of(
             Transition(np.zeros(6), 0, 0.1, np.ones(6)),
             Transition(np.zeros(6), 1, 0.2, None),
             Transition(np.zeros(6), 0, 0.3, np.ones(6)),
-        ]
+        )
         np.testing.assert_allclose(
             compute_targets(batch, net, 0.5), [0.1 + 1.0, 0.2, 0.3 + 1.0], atol=1e-12
         )
@@ -214,6 +250,16 @@ class TestUpdateTarget:
         for w, prev in zip(target.weights, once):
             np.testing.assert_array_equal(w, prev)
 
+    def test_target_gets_an_independent_copy(self):
+        rng = np.random.default_rng(34)
+        policy = QNetwork([6, 16, 12], rng=rng)
+        target = QNetwork([6, 16, 12])
+        update_target(policy, target)
+        np.testing.assert_array_equal(target.params, policy.params)
+        assert not np.shares_memory(target.params, policy.params)
+        target.params[:] = 0.0
+        assert np.any(policy.params != 0.0)
+
     def test_architecture_mismatch(self):
         with pytest.raises(ValueError):
             update_target(QNetwork([6, 16, 12]), QNetwork([6, 8, 12]))
@@ -279,14 +325,22 @@ class TestOptimize:
         losses = [optimize(policy, target, memory, config, adam, rng) for _ in range(100)]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
+    def test_non_finite_loss_raises_before_the_step(self):
+        rng, policy, target, memory, config, adam = self._setup(seed=46)
+        for i in range(8):
+            memory.push(Transition(np.ones(6) * i, i, 1.0, None))
+        policy.weights[0][0, 0] = np.nan
+        before = policy.params.copy()
+        with pytest.raises(FloatingPointError, match="TD loss is nan"):
+            optimize(policy, target, memory, config, adam, rng)
+        assert adam.t == 0
+        np.testing.assert_array_equal(policy.params, before)
+
     def test_returns_pre_step_loss(self):
         rng, policy, target, memory, config, adam = self._setup(seed=45)
         for i in range(8):
             memory.push(Transition(np.ones(6) * i, i, 1.0, None))
-        states = np.stack([t.state for t in memory._buffer])
-        actions = np.array([t.action for t in memory._buffer])
-        targets = np.array([t.reward for t in memory._buffer])
-        expected, _ = mse_loss_and_grad(policy, states, actions, targets)
+        expected, _ = mse_loss_and_grad(policy, memory.states[:8], memory.actions[:8], memory.rewards[:8])
         got = optimize(policy, target, memory, config, adam, rng)
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -309,3 +363,22 @@ class TestAgent:
         agent.sync_target()
         x = np.ones(6)
         np.testing.assert_array_equal(agent.policy_net.forward(x), agent.target_net.forward(x))
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(batch_size=0), "batch_size"),
+        (dict(batch_size=100, replay_capacity=50), "batch_size"),
+        (dict(gamma=1.0), "gamma"),
+        (dict(gamma=-0.1), "gamma"),
+        (dict(gamma=float("nan")), "gamma"),
+        (dict(learning_rate=0.0), "learning_rate"),
+        (dict(learning_rate=-1e-3), "learning_rate"),
+    ])
+    def test_rejects_with_the_field_name(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            DQNConfig(**kwargs)
+
+    def test_min_replay_may_exceed_capacity(self):
+        # a huge min_replay is how callers switch learning off
+        assert DQNConfig(min_replay=10**9).min_replay == 10**9

@@ -8,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import bell_solver_network
+from conftest import bell_solver_network, poison_agents
 from qasrl.cli import main
 from qasrl.experiments import (
     CSV_COLUMNS,
@@ -347,6 +347,35 @@ class TestCli:
         code = main(["run", "--env", "9", "--out", str(tmp_path / "run")])
         assert code == 1
         assert capsys.readouterr().err != ""
+
+    def test_negative_episodes_is_one_line_error(self, tmp_path, capsys):
+        code = main(["run", "--env", "0", "--episodes", "-5", "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "episodes" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run" / "runlog.csv").exists()
+
+    def test_broken_library_snapshot_is_one_line_error(self, tmp_path, capsys):
+        library = PolicyLibrary()
+        library.append(bell_solver_network(), "env-0")
+        save_library(library, tmp_path / "lib")
+        broken = tmp_path / "lib" / "policy_000.qnet"
+        broken.write_bytes(b'{"format_version": 1, "activation": "relu"}\n')
+        code = main(["run", "--env", "1", "--mode", "ppr", "--library", str(tmp_path / "lib"),
+                     "--episodes", "5", "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(broken) in err and "layer_sizes" in err
+        assert err.count("\n") == 1
+
+    def test_non_finite_learning_is_one_line_error(self, tmp_path, capsys, monkeypatch):
+        poison_agents(monkeypatch)
+        code = main(["run", "--env", "0", "--episodes", "10", "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: learning went non-finite in episode ")
+        assert err.count("\n") == 1
 
     def test_plot_command(self, tmp_path):
         run_single(tiny_config(tmp_path, episodes=5))

@@ -100,11 +100,9 @@ class TestLossAndGradient:
         x = rng.normal(size=(4, 6))
         actions = np.array([0, 3, 7, 11])
         targets = net.forward(x)[np.arange(4), actions]
-        loss, grads = mse_loss_and_grad(net, x, actions, targets)
+        loss, grad = mse_loss_and_grad(net, x, actions, targets)
         assert loss == 0.0
-        for dw, db in grads:
-            np.testing.assert_array_equal(dw, np.zeros_like(dw))
-            np.testing.assert_array_equal(db, np.zeros_like(db))
+        np.testing.assert_array_equal(grad, np.zeros_like(grad))
 
     def test_hand_derived_one_one_one(self):
         # q = w2 * relu(w1 x + b1) + b2 with everything positive:
@@ -116,21 +114,23 @@ class TestLossAndGradient:
         net.biases[0][0] = 0.2
         net.weights[1][0, 0] = 1.3
         net.biases[1][0] = -0.1
-        loss, grads = mse_loss_and_grad(
+        loss, grad = mse_loss_and_grad(
             net, np.array([[0.5]]), np.array([0]), np.array([1.0])
         )
+        dws, dbs = net.layer_views(grad)
         np.testing.assert_allclose(loss, 0.385**2, atol=1e-12)
-        np.testing.assert_allclose(grads[1][0][0, 0], 0.55 * 2 * -0.385, atol=1e-12)
-        np.testing.assert_allclose(grads[1][1][0], 2 * -0.385, atol=1e-12)
-        np.testing.assert_allclose(grads[0][0][0, 0], 0.5 * 1.3 * 2 * -0.385, atol=1e-12)
-        np.testing.assert_allclose(grads[0][1][0], 1.3 * 2 * -0.385, atol=1e-12)
+        np.testing.assert_allclose(dws[1][0, 0], 0.55 * 2 * -0.385, atol=1e-12)
+        np.testing.assert_allclose(dbs[1][0], 2 * -0.385, atol=1e-12)
+        np.testing.assert_allclose(dws[0][0, 0], 0.5 * 1.3 * 2 * -0.385, atol=1e-12)
+        np.testing.assert_allclose(dbs[0][0], 1.3 * 2 * -0.385, atol=1e-12)
 
     def test_gradient_only_flows_through_taken_action(self):
         rng = np.random.default_rng(10)
         net = QNetwork([6, 16, 12], rng=rng)
         x = rng.normal(size=(1, 6))
-        _, grads = mse_loss_and_grad(net, x, np.array([4]), np.array([2.0]))
-        dw_out, db_out = grads[-1]
+        _, grad = mse_loss_and_grad(net, x, np.array([4]), np.array([2.0]))
+        dws, dbs = net.layer_views(grad)
+        dw_out, db_out = dws[-1], dbs[-1]
         untouched = [a for a in range(12) if a != 4]
         np.testing.assert_array_equal(dw_out[:, untouched], 0.0)
         np.testing.assert_array_equal(db_out[untouched], 0.0)
@@ -171,20 +171,24 @@ def flatten_net(net):
     return out
 
 
+def flatten_grads(net, grad):
+    """A gradient laid out like net.params as per-layer arrays, in flatten_net order."""
+    out = []
+    for dw, db in zip(*net.layer_views(grad)):
+        out.extend([dw, db])
+    return out
+
+
 class TestAdam:
     def _random_grads(self, net, rng):
-        return [
-            (rng.normal(size=w.shape), rng.normal(size=b.shape))
-            for w, b in zip(net.weights, net.biases)
-        ]
+        return rng.normal(size=net.params.size)
 
     def test_zero_gradient_is_a_no_op(self):
         rng = np.random.default_rng(11)
         net = QNetwork([4, 8, 3], rng=rng)
         state = AdamState.for_network(net)
         before = [p.copy() for p in flatten_net(net)]
-        zero = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
-        adam_step(net, state, zero)
+        adam_step(net, state, np.zeros_like(net.params))
         assert state.t == 1
         for p, q in zip(flatten_net(net), before):
             np.testing.assert_array_equal(p, q)
@@ -195,17 +199,11 @@ class TestAdam:
         rng = np.random.default_rng(12)
         net = QNetwork([4, 8, 3], rng=rng)
         state = AdamState.for_network(net, learning_rate=0.001)
-        grads = [
-            (np.sign(rng.normal(size=w.shape)) * rng.uniform(0.5, 2.0, size=w.shape),
-             np.sign(rng.normal(size=b.shape)) * rng.uniform(0.5, 2.0, size=b.shape))
-            for w, b in zip(net.weights, net.biases)
-        ]
+        size = net.params.size
+        grad = np.sign(rng.normal(size=size)) * rng.uniform(0.5, 2.0, size=size)
         before = [p.copy() for p in flatten_net(net)]
-        adam_step(net, state, grads)
-        flat_grads = []
-        for dw, db in grads:
-            flat_grads.extend([dw, db])
-        for p, q, g in zip(flatten_net(net), before, flat_grads):
+        adam_step(net, state, grad)
+        for p, q, g in zip(flatten_net(net), before, flatten_grads(net, grad)):
             np.testing.assert_allclose(p - q, -0.001 * np.sign(g), atol=1e-9)
 
     def test_two_steps_match_scripted_reference(self):
@@ -215,12 +213,7 @@ class TestAdam:
         grads1 = self._random_grads(net, rng)
         grads2 = self._random_grads(net, rng)
         initial = [p.copy() for p in flatten_net(net)]
-        seq = []
-        for g in (grads1, grads2):
-            flat = []
-            for dw, db in g:
-                flat.extend([dw, db])
-            seq.append(flat)
+        seq = [flatten_grads(net, g) for g in (grads1, grads2)]
         expected = reference_adam(initial, seq)
         adam_step(net, state, grads1)
         adam_step(net, state, grads2)
@@ -285,3 +278,56 @@ class TestCloneAndSnapshot:
         path.write_bytes(raw[:-8])
         with pytest.raises(ValueError):
             load_policy(path)
+
+
+class TestFlatParameters:
+    def test_params_is_one_contiguous_vector(self):
+        net = QNetwork([6, 16, 16, 12], rng=np.random.default_rng(18))
+        assert net.params.ndim == 1 and net.params.flags.c_contiguous
+        assert net.params.size == sum(w.size + b.size for w, b in zip(net.weights, net.biases))
+        for view in net.weights + net.biases:
+            assert view.base is net.params
+
+    def test_writing_through_a_view_changes_params(self):
+        net = QNetwork([6, 16, 12])
+        net.weights[1][2, 3] = 1.5
+        net.biases[0][4] = -2.0
+        # layout W0 (6x16), b0 (16), W1 (16x12), b1 (12)
+        assert net.params[6 * 16 + 16 + 2 * 12 + 3] == 1.5
+        assert net.params[6 * 16 + 4] == -2.0
+        assert np.count_nonzero(net.params) == 2
+
+    def test_clone_has_its_own_vector(self):
+        net = QNetwork([6, 16, 12], rng=np.random.default_rng(19))
+        copy = clone_parameters(net)
+        np.testing.assert_array_equal(copy.params, net.params)
+        assert not np.shares_memory(copy.params, net.params)
+        net.params += 1.0
+        copy.biases[0][:] = 7.0
+        assert np.all(net.biases[0] != 7.0)
+
+    def test_snapshot_bytes_are_the_per_layer_concatenation(self, tmp_path):
+        net = QNetwork([6, 16, 12], rng=np.random.default_rng(20))
+        net.biases[0][:] = np.random.default_rng(21).normal(size=16)
+        save_policy(net, tmp_path / "p.qnet")
+        per_layer = b"".join(arr.astype("<f8").tobytes()
+                             for w, b in zip(net.weights, net.biases) for arr in (w, b))
+        assert (tmp_path / "p.qnet").read_bytes().split(b"\n", 1)[1] == per_layer
+
+
+@pytest.mark.parametrize("content", [
+    b'{"format_version": 1, "activation": "relu"}\n',
+    b'{"format_version": 1, "layer_sizes": [2, 3]}\n',
+    b'{"format_version": 1, "layer_sizes": "two", "activation": "relu"}\n',
+    b"[1, 2]\n",
+    b"{not json\n",
+    b"no newline at all",
+    b'{"format_version": 1, "layer_sizes": [2, 3], "activation": "relu"}\n' + b"\0" * 13,
+], ids=["no_layer_sizes", "no_activation", "bad_layer_sizes", "not_an_object", "bad_json",
+        "no_newline", "partial_parameter"])
+def test_malformed_snapshot_is_a_value_error_naming_the_file(tmp_path, content):
+    path = tmp_path / "broken.qnet"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match="broken\\.qnet: ") as info:
+        load_policy(path)
+    assert "\n" not in str(info.value)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bell_solver_network, constant_output_network
+from conftest import bell_solver_network, constant_output_network, poison_agents
 from qasrl.dqn import DQNAgent, DQNConfig, update_target
 from qasrl.env import CircuitEnv, EnvConfig
 from qasrl.experiments import build_environment
@@ -144,6 +144,19 @@ class TestPolicyLibrary:
         with pytest.raises(ValueError):
             stored.weights[0][0, 0] = 3.0
 
+    def test_stored_policy_rejects_writes_through_every_view(self):
+        net = QNetwork([6, 8, 8, 12], rng=np.random.default_rng(7))
+        library = PolicyLibrary()
+        library.append(net, "first")
+        stored = library.policy(1)
+        # the views made by the constructor, and any made later
+        later_weights, later_biases = stored.layer_views(stored.params)
+        for view in (stored.params, *stored.weights, *stored.biases, *later_weights, *later_biases):
+            with pytest.raises(ValueError):
+                view[0] = 3.0
+        net.weights[0][0, 0] = 3.0  # the source network stays writable
+        assert net.params[0] == 3.0
+
     def test_slot_zero_is_not_a_past_policy(self):
         library = PolicyLibrary()
         library.append(QNetwork([6, 8, 12]), "first")
@@ -178,6 +191,21 @@ class TestPolicyLibrary:
     def test_load_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_library(tmp_path / "nope")
+
+    @pytest.mark.parametrize("manifest", [
+        '{"format_version": 1, "policies": [{"tag": "env-0"}]}',
+        '{"format_version": 1, "policies": [{"file": "policy_000.qnet"}]}',
+        '{"format_version": 1}',
+        '{"format_version": 1, "policies": [7]}',
+        '{"format_version": 1, "policies": [',
+    ], ids=["no_file", "no_tag", "no_policies", "entry_not_an_object", "bad_json"])
+    def test_malformed_manifest_is_a_value_error_naming_it(self, tmp_path, manifest):
+        library = PolicyLibrary()
+        library.append(QNetwork([6, 8, 12]), "env-0")
+        save_library(library, tmp_path)
+        (tmp_path / "manifest.json").write_text(manifest)
+        with pytest.raises(ValueError, match="manifest\\.json: "):
+            load_library(tmp_path)
 
 
 def solver_agent(env: CircuitEnv, seed: int = 0, **config_kwargs) -> DQNAgent:
@@ -240,6 +268,27 @@ class TestPiExplorationEpisode:
             rec_b = q_learning_episode(env_b, agent_b, rng_b)
             assert rec_a.actions == rec_b.actions
             assert rec_a.score == rec_b.score
+
+    def test_zero_follow_prob_never_consults_the_past_policy(self):
+        class Untouchable(QNetwork):
+            def forward(self, inputs):
+                raise AssertionError("the past policy was consulted")
+
+        class ZeroDraws:
+            """A behaviour rng whose every draw is exactly 0.0."""
+
+            def random(self):
+                return 0.0
+
+        params = ExplorationParams(follow_prob=0.0)
+        env = CircuitEnv(build_environment(0))
+        agent = solver_agent(env, min_replay=10**9)
+        past = Untouchable([6, 12])
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            pi_exploration_episode(env, agent, past, params, rng)
+        record = pi_exploration_episode(env, agent, past, params, ZeroDraws())
+        assert record.steps == 2
 
     def test_full_follow_replays_the_past_policy(self):
         params = ExplorationParams(follow_prob=1.0, follow_decay=1.0)
@@ -336,3 +385,28 @@ class TestPprRun:
         config = PPRConfig(episodes=25, dqn=DQNConfig(hidden_sizes=(8,)))
         result = ppr_run(fast_env(), PolicyLibrary(), config, np.random.default_rng(27))
         assert [e.episode for e in result.log] == list(range(1, 26))
+
+
+class TestNonFiniteLearning:
+    def test_nan_weight_stops_the_run_naming_the_episode(self, monkeypatch):
+        poison_agents(monkeypatch)
+        # NaN Q-values make the greedy action 0, which never reaches the
+        # threshold: 20-step episodes, so the 64th transition (the first
+        # gradient step) comes in episode 4
+        env = CircuitEnv(build_environment(0))
+        with pytest.raises(FloatingPointError, match=r"^learning went non-finite in episode 4: TD loss is nan$"):
+            ppr_run(env, PolicyLibrary(), PPRConfig(episodes=10), np.random.default_rng(0))
+
+
+class TestPprConfigValidation:
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(episodes=-5), "episodes"),
+        (dict(temperature_step=-0.01), "temperature_step"),
+    ])
+    def test_rejects_with_the_field_name(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            PPRConfig(**kwargs)
+
+    def test_zero_episodes_is_allowed(self):
+        result = ppr_run(fast_env(), PolicyLibrary(), PPRConfig(episodes=0), np.random.default_rng(0))
+        assert result.log == []

@@ -39,3 +39,28 @@ def test_plot_of_scores_spanning_the_float_range(tmp_path, scores):
     pixels = read_png(image_path)
     assert has_colour(pixels, SCORE_RGB)
     assert has_colour(pixels, ROLLING_RGB)
+
+
+@pytest.mark.parametrize("row, cell", [("1,abc,3,0.9,0,0", "'abc'"), ("1,0.5,2.5,0.9,0,0", "'2.5'")],
+                         ids=["float_column", "int_column"])
+def test_from_csv_names_file_and_line_of_a_non_numeric_cell(tmp_path, row, cell):
+    path = tmp_path / "runlog.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n1,0.5,3,0.9,0,0\n" + row + "\n")
+    with pytest.raises(ValueError, match=rf"runlog\.csv line 3: .*{cell}"):
+        RunLog.from_csv(path)
+
+
+def test_rolling_mean_of_consecutive_1e308_scores_is_finite():
+    with np.errstate(all="raise"):
+        rolling = score_log([1e308, 1e308, 0.5]).rolling_mean()
+    np.testing.assert_allclose(rolling, [1e308, 1e308, 1e308 / 3 * 2], rtol=1e-15)
+
+
+def test_rolling_mean_of_run_scores_is_unchanged():
+    # scores of a real run lie in [-1.2, 1]; the prefix-sum formula on them
+    # is what the mean was before the overflow guard
+    scores = np.random.default_rng(0).uniform(-1.2, 1.0, size=1000)
+    sums = np.cumsum(np.concatenate(([0.0], scores)))
+    idx = np.arange(1000)
+    lo = np.maximum(idx - 49, 0)
+    np.testing.assert_array_equal(score_log(scores).rolling_mean(), (sums[idx + 1] - sums[lo]) / (idx + 1 - lo))
