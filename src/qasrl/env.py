@@ -95,11 +95,9 @@ class EpisodeRecord:
 class CircuitEnv:
     """Gym-style environment over the exact density-matrix simulator."""
 
-    def __init__(self, config: EnvConfig, seed: int | None = None):
+    def __init__(self, config: EnvConfig):
         self.config = config
         self.actions = enumerate_actions(config.n_qubits)
-        # reserved for stochastic backends; the exact simulator never draws
-        self.rng = np.random.default_rng(seed)
         self._state: DensityMatrix | None = None
         self._steps = 0
         self._done = False

@@ -19,8 +19,8 @@ import numpy as np
 from .dqn import DQNConfig
 from .env import CircuitEnv, EnvConfig
 from .network import load_policy, save_policy
-from .ppr import PolicyLibrary, PPRConfig, ppr_run, load_library, save_library
-from .quantum import GateKind, NoiseSpec, bell_state
+from .ppr import PolicyLibrary, PPRConfig, RunRow, ppr_run, load_library, save_library
+from .quantum import GateKind, NoiseSpec
 
 # Gate error rates per environment id; readout error is 0.01 everywhere.
 ENVIRONMENT_NOISE: dict[int, dict[GateKind, float]] = {
@@ -36,20 +36,16 @@ MEAS_ERROR = 0.01
 
 
 def build_environment(env_id: int, meas_error: float = MEAS_ERROR,
-                      fidelity_threshold: float = 0.95, max_steps: int = 20,
-                      step_penalty: float = 0.01) -> EnvConfig:
-    """EnvConfig for one of the numbered noise settings, Bell target."""
+                      fidelity_threshold: float = EnvConfig.fidelity_threshold,
+                      max_steps: int = EnvConfig.max_steps,
+                      step_penalty: float = EnvConfig.step_penalty) -> EnvConfig:
+    """EnvConfig for one of the numbered noise settings; qubit count and
+    target are EnvConfig's own, the two-qubit Bell state."""
     if env_id not in ENVIRONMENT_NOISE:
         raise ValueError(f"unknown environment id {env_id}; choose 0..{len(ENVIRONMENT_NOISE) - 1}")
     noise = NoiseSpec(gate_error=dict(ENVIRONMENT_NOISE[env_id]), meas_error=meas_error)
-    return EnvConfig(
-        n_qubits=2,
-        target=bell_state(),
-        noise=noise,
-        fidelity_threshold=fidelity_threshold,
-        max_steps=max_steps,
-        step_penalty=step_penalty,
-    )
+    return EnvConfig(noise=noise, fidelity_threshold=fidelity_threshold,
+                     max_steps=max_steps, step_penalty=step_penalty)
 
 
 @dataclass
@@ -58,20 +54,21 @@ class ExperimentConfig:
 
     ``env_id`` picks a row of the noise table; individual ``error_*``
     fields override single gates when set.  Serializes to key = value
-    lines; "none" stands for None.
+    lines; "none" stands for None.  Defaults are those of the configs
+    the fields feed.
     """
 
     env_id: int = 0
     mode: str = "from_scratch"
     library: str | None = None
     seed: int = 0
-    episodes: int = 1000
+    episodes: int = PPRConfig.episodes
     out: str = "runs/latest"
     # environment
-    fidelity_threshold: float = 0.95
-    max_steps: int = 20
-    step_penalty: float = 0.01
-    meas_error: float = 0.01
+    fidelity_threshold: float = EnvConfig.fidelity_threshold
+    max_steps: int = EnvConfig.max_steps
+    step_penalty: float = EnvConfig.step_penalty
+    meas_error: float = MEAS_ERROR
     error_rot_pi4: float | None = None
     error_x: float | None = None
     error_y: float | None = None
@@ -79,24 +76,24 @@ class ExperimentConfig:
     error_h: float | None = None
     error_cnot: float | None = None
     # q-learning
-    gamma: float = 0.70
-    batch_size: int = 64
-    min_replay: int = 64
-    replay_capacity: int = 10_000
-    target_update_period: int = 10
-    learning_rate: float = 0.001
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    hidden1: int = 64
-    hidden2: int = 64
-    epsilon_start: float = 1.0
-    epsilon_decay: float = 0.99
-    epsilon_min: float = 0.02
+    gamma: float = DQNConfig.gamma
+    batch_size: int = DQNConfig.batch_size
+    min_replay: int = DQNConfig.min_replay
+    replay_capacity: int = DQNConfig.replay_capacity
+    target_update_period: int = DQNConfig.target_update_period
+    learning_rate: float = DQNConfig.learning_rate
+    adam_beta1: float = DQNConfig.adam_beta1
+    adam_beta2: float = DQNConfig.adam_beta2
+    hidden1: int = DQNConfig.hidden_sizes[0]
+    hidden2: int = DQNConfig.hidden_sizes[1]
+    epsilon_start: float = DQNConfig.epsilon_start
+    epsilon_decay: float = DQNConfig.epsilon_decay
+    epsilon_min: float = DQNConfig.epsilon_min
     # policy reuse
-    temperature_init: float = 0.0
-    temperature_step: float = 0.01
-    follow_prob: float = 1.0
-    follow_decay: float = 0.95
+    temperature_init: float = PPRConfig.temperature_init
+    temperature_step: float = PPRConfig.temperature_step
+    follow_prob: float = PPRConfig.follow_prob
+    follow_decay: float = PPRConfig.follow_decay
 
     def to_text(self) -> str:
         lines = []
@@ -123,7 +120,10 @@ class ExperimentConfig:
             raw = raw.strip()
             if key not in fields_by_name:
                 raise ValueError(f"unknown config key {key!r}")
-            values[key] = _parse_value(raw, fields_by_name[key].type)
+            try:
+                values[key] = _parse_value(raw, fields_by_name[key].type)
+            except ValueError as exc:
+                raise ValueError(f"config line {lineno} ({key}): {exc}") from None
         return cls(**values)
 
     @classmethod
@@ -131,107 +131,51 @@ class ExperimentConfig:
         return cls.from_text(Path(path).read_text())
 
     def gate_errors(self) -> dict[GateKind, float]:
-        errors = dict(ENVIRONMENT_NOISE[self.env_id]) if self.env_id in ENVIRONMENT_NOISE else {}
-        if self.env_id not in ENVIRONMENT_NOISE:
-            raise ValueError(f"unknown environment id {self.env_id}")
-        overrides = {
-            GateKind.ROT_PI4: self.error_rot_pi4,
-            GateKind.PAULI_X: self.error_x,
-            GateKind.PAULI_Y: self.error_y,
-            GateKind.PAULI_Z: self.error_z,
-            GateKind.HADAMARD: self.error_h,
-            GateKind.CNOT: self.error_cnot,
-        }
-        for kind, p in overrides.items():
-            if p is not None:
-                errors[kind] = p
-        return {kind: p for kind, p in errors.items() if p > 0.0}
+        """The ``error_*`` overrides that are set, by gate kind."""
+        errors = {kind: getattr(self, f"error_{kind.value}") for kind in GateKind}
+        return {kind: p for kind, p in errors.items() if p is not None}
 
     def env_config(self) -> EnvConfig:
-        return EnvConfig(
-            n_qubits=2,
-            target=bell_state(),
-            noise=NoiseSpec(gate_error=self.gate_errors(), meas_error=self.meas_error),
-            fidelity_threshold=self.fidelity_threshold,
-            max_steps=self.max_steps,
-            step_penalty=self.step_penalty,
-        )
+        """The numbered environment with the ``error_*`` overrides laid over its noise table."""
+        env = build_environment(self.env_id, self.meas_error, self.fidelity_threshold,
+                                self.max_steps, self.step_penalty)
+        noise = dataclasses.replace(env.noise, gate_error={**env.noise.gate_error, **self.gate_errors()})
+        return dataclasses.replace(env, noise=noise)
 
     def ppr_config(self) -> PPRConfig:
         if self.mode not in ("from_scratch", "ppr"):
             raise ValueError(f"mode must be from_scratch or ppr, got {self.mode!r}")
-        dqn = DQNConfig(
-            gamma=self.gamma,
-            batch_size=self.batch_size,
-            min_replay=self.min_replay,
-            replay_capacity=self.replay_capacity,
-            target_update_period=self.target_update_period,
-            learning_rate=self.learning_rate,
-            adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2,
-            hidden_sizes=(self.hidden1, self.hidden2),
-            epsilon_start=self.epsilon_start,
-            epsilon_decay=self.epsilon_decay,
-            epsilon_min=self.epsilon_min,
-        )
-        return PPRConfig(
-            episodes=self.episodes,
-            temperature_init=self.temperature_init,
-            temperature_step=self.temperature_step,
-            follow_prob=self.follow_prob,
-            follow_decay=self.follow_decay,
-            use_epsilon_greedy=(self.mode == "from_scratch"),
-            dqn=dqn,
-        )
+        dqn = DQNConfig(hidden_sizes=(self.hidden1, self.hidden2), **self._shared_with(DQNConfig))
+        return PPRConfig(use_epsilon_greedy=(self.mode == "from_scratch"), dqn=dqn,
+                         **self._shared_with(PPRConfig))
+
+    def _shared_with(self, config_class) -> dict:
+        """This config's values for the fields ``config_class`` has under the same name."""
+        return {f.name: vars(self)[f.name] for f in dataclasses.fields(config_class)
+                if f.name in vars(self)}
 
 
 def _parse_value(raw: str, ftype):
-    if raw.lower() == "none":
-        return None
-    base = ftype
-    if isinstance(ftype, types.UnionType):
-        args = [a for a in typing.get_args(ftype) if a is not type(None)]
-        base = args[0]
-    if base is bool:
-        if raw.lower() in ("true", "false"):
-            return raw.lower() == "true"
-        raise ValueError(f"expected true/false, got {raw!r}")
-    return base(raw)
+    if isinstance(ftype, types.UnionType):  # X | None: "none" or an X
+        if raw.lower() == "none":
+            return None
+        ftype = next(a for a in typing.get_args(ftype) if a is not type(None))
+    return ftype(raw)
 
 
-CSV_COLUMNS = ("episode", "score", "steps", "fidelity", "policy_index", "temperature")
-_INT_COLUMNS = {"episode", "steps", "policy_index"}
-
-
-@dataclass(frozen=True)
-class RunRow:
-    episode: int
-    score: float
-    steps: int
-    fidelity: float
-    policy_index: int
-    temperature: float
-    wall_clock_ms: float = 0.0
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(RunRow))
+_INT_COLUMNS = {f.name for f in dataclasses.fields(RunRow) if f.type is int}
 
 
 class RunLog:
     """Per-episode results of one run, CSV round-trippable.
 
-    The CSV carries the deterministic columns only (floats at 12
-    significant digits), so identical seed and config give identical
-    bytes; wall-clock timing stays in memory.
+    Every column is deterministic (floats at 12 significant digits), so
+    identical seed and config give identical bytes.
     """
 
     def __init__(self, rows):
         self.rows: list[RunRow] = list(rows)
-
-    @classmethod
-    def from_entries(cls, entries) -> "RunLog":
-        return cls(
-            RunRow(e.episode, e.score, e.steps, e.fidelity, e.policy_index,
-                   e.temperature, e.wall_clock_ms)
-            for e in entries
-        )
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -296,7 +240,7 @@ class RunLog:
 def run_single(config: ExperimentConfig) -> RunLog:
     """Execute one run and write runlog.csv, policy.qnet and config.txt
     under config.out."""
-    env = CircuitEnv(config.env_config(), seed=config.seed)
+    env = CircuitEnv(config.env_config())
     if config.mode == "ppr":
         if not config.library:
             raise ValueError("ppr mode needs --library pointing at a policy library")
@@ -308,7 +252,7 @@ def run_single(config: ExperimentConfig) -> RunLog:
     result = ppr_run(env, library, config.ppr_config(), np.random.default_rng(config.seed))
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    log = RunLog.from_entries(result.log)
+    log = RunLog(result.log)
     log.to_csv(out / "runlog.csv")
     save_policy(result.policy, out / "policy.qnet")
     config.to_file(out / "config.txt")

@@ -9,7 +9,6 @@ episode, handing control back to the new network.
 """
 
 import json
-import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -87,19 +86,14 @@ class ReuseStats:
     def advance_temperature(self) -> None:
         self.episodes_done += 1
 
-    def extend(self) -> None:
-        self.mean_scores = np.append(self.mean_scores, 0.0)
-        self.selection_counts = np.append(self.selection_counts, 0)
-
 
 class PolicyLibrary:
-    """Frozen past policies plus reuse statistics; slot 0 stays reserved
-    for whatever network is currently in training."""
+    """Frozen past policies and their tags; slot 0 stays reserved for
+    whatever network is currently in training."""
 
     def __init__(self):
         self._policies: list[QNetwork] = []
         self.tags: list[str] = []
-        self.stats = ReuseStats.fresh(1)
 
     def __len__(self) -> int:
         return len(self._policies)
@@ -115,14 +109,13 @@ class PolicyLibrary:
         return self._policies[slot - 1]
 
     def append(self, net: QNetwork, tag: str) -> None:
-        """Store a frozen deep copy; its reuse stats start at zero."""
+        """Store a frozen deep copy as the next slot."""
         frozen = clone_parameters(net)
         # Views made before the vector froze stay writable unless frozen too.
         for array in (frozen.params, *frozen.weights, *frozen.biases):
             array.setflags(write=False)
         self._policies.append(frozen)
         self.tags.append(tag)
-        self.stats.extend()
 
 
 def softmax_select(scores: np.ndarray, temperature: float, rng: np.random.Generator):
@@ -140,25 +133,35 @@ def softmax_select(scores: np.ndarray, temperature: float, rng: np.random.Genera
     return probs, int((cdf / cdf[-1]).searchsorted(rng.random(), side="right"))
 
 
-def q_learning_episode(env: CircuitEnv, agent: DQNAgent, rng: np.random.Generator,
-                       epsilon: float = 0.0) -> EpisodeRecord:
-    """One episode acting from the in-training network, learning each step.
-
-    Greedy by default; pass epsilon > 0 for epsilon-greedy exploration.
-    """
+def _play_episode(env: CircuitEnv, agent: DQNAgent, choose) -> EpisodeRecord:
+    """One episode acting by ``choose(obs, steps_completed)``; the
+    in-training network observes and learns from every transition."""
     obs = env.reset()
+    steps_completed = 0
     while True:
-        if epsilon > 0.0:
-            action = select_action_epsilon_greedy(agent.policy_net, obs, epsilon, rng)
-        else:
-            action = select_action_greedy(agent.policy_net, obs)
+        action = choose(obs, steps_completed)
         result = env.step(action)
+        steps_completed += 1
         next_obs = None if result.done else result.observation
         agent.observe(Transition(obs, action, result.reward, next_obs))
         agent.learn()
         obs = result.observation
         if result.done:
             return env.episode_record()
+
+
+def q_learning_episode(env: CircuitEnv, agent: DQNAgent, rng: np.random.Generator,
+                       epsilon: float = 0.0) -> EpisodeRecord:
+    """One episode acting from the in-training network, learning each step.
+
+    Greedy by default; pass epsilon > 0 for epsilon-greedy exploration.
+    """
+    def choose(obs, _):
+        if epsilon > 0.0:
+            return select_action_epsilon_greedy(agent.policy_net, obs, epsilon, rng)
+        return select_action_greedy(agent.policy_net, obs)
+
+    return _play_episode(env, agent, choose)
 
 
 def pi_exploration_episode(env: CircuitEnv, agent: DQNAgent, past_policy: QNetwork,
@@ -169,21 +172,11 @@ def pi_exploration_episode(env: CircuitEnv, agent: DQNAgent, past_policy: QNetwo
     policy acts greedily, otherwise the in-training network does.  The
     in-training network learns from every transition either way.
     """
-    obs = env.reset()
-    steps_completed = 0
-    while True:
-        if rng.random() < params.follow_probability(steps_completed):
-            action = select_action_greedy(past_policy, obs)
-        else:
-            action = select_action_greedy(agent.policy_net, obs)
-        result = env.step(action)
-        steps_completed += 1
-        next_obs = None if result.done else result.observation
-        agent.observe(Transition(obs, action, result.reward, next_obs))
-        agent.learn()
-        obs = result.observation
-        if result.done:
-            return env.episode_record()
+    def choose(obs, steps_completed):
+        follow = rng.random() < params.follow_probability(steps_completed)
+        return select_action_greedy(past_policy if follow else agent.policy_net, obs)
+
+    return _play_episode(env, agent, choose)
 
 
 @dataclass
@@ -206,20 +199,22 @@ class PPRConfig:
 
 
 @dataclass(frozen=True)
-class EpisodeLogEntry:
+class RunRow:
+    """One episode of a run: its result, the slot that drove it and the
+    softmax temperature it was selected at."""
+
     episode: int
     score: float
     steps: int
     fidelity: float
     policy_index: int
     temperature: float
-    wall_clock_ms: float
 
 
 @dataclass
 class PPRRunResult:
     policy: QNetwork
-    log: list[EpisodeLogEntry]
+    log: list[RunRow]
     stats: ReuseStats
 
 
@@ -230,23 +225,19 @@ def ppr_run(env: CircuitEnv, library: PolicyLibrary, config: PPRConfig,
 
     With an empty library every episode is plain q-learning; pass
     ``use_epsilon_greedy=True`` for the from-scratch baseline.  The
-    returned log has one entry per episode with the slot that drove it
-    and the selection-time temperature.  A TD loss that is not finite
-    raises FloatingPointError naming the episode.
+    returned log has one row per episode, and the reuse stats are this
+    run's own, one slot per library policy plus slot 0.  A TD loss that
+    is not finite raises FloatingPointError naming the episode.
     """
     agent_rng, behavior_rng = rng.spawn(2)
     agent = DQNAgent(env.observation_dim, env.n_actions, config.dqn, agent_rng)
-    library.stats = ReuseStats.fresh(
-        library.n_slots, config.temperature_init, config.temperature_step
-    )
-    stats = library.stats
+    stats = ReuseStats.fresh(library.n_slots, config.temperature_init, config.temperature_step)
     exploration = ExplorationParams(config.follow_prob, config.follow_decay)
     epsilon = config.dqn.epsilon_start if config.use_epsilon_greedy else 0.0
-    log: list[EpisodeLogEntry] = []
+    log: list[RunRow] = []
     for episode in range(1, config.episodes + 1):
-        started = time.perf_counter()
-        selection_temperature = stats.temperature
-        _, slot = softmax_select(stats.mean_scores, selection_temperature, behavior_rng)
+        temperature = stats.temperature
+        _, slot = softmax_select(stats.mean_scores, temperature, behavior_rng)
         try:
             if slot == 0:
                 record = q_learning_episode(env, agent, behavior_rng, epsilon=epsilon)
@@ -262,17 +253,8 @@ def ppr_run(env: CircuitEnv, library: PolicyLibrary, config: PPRConfig,
             epsilon = max(config.dqn.epsilon_min, epsilon * config.dqn.epsilon_decay)
         if episode % config.dqn.target_update_period == 0:
             agent.sync_target()
-        log.append(
-            EpisodeLogEntry(
-                episode=episode,
-                score=record.score,
-                steps=record.steps,
-                fidelity=record.final_fidelity,
-                policy_index=slot,
-                temperature=selection_temperature,
-                wall_clock_ms=(time.perf_counter() - started) * 1e3,
-            )
-        )
+        log.append(RunRow(episode, record.score, record.steps, record.final_fidelity,
+                          slot, temperature))
     return PPRRunResult(policy=agent.policy_net, log=log, stats=stats)
 
 

@@ -182,6 +182,11 @@ class TargetState:
         object.__setattr__(self, "amplitudes", vec)
         object.__setattr__(self, "pauli", DensityMatrix(n, np.outer(vec, vec.conj())).pauli.real)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TargetState):
+            return NotImplemented
+        return np.array_equal(self.amplitudes, other.amplitudes)
+
     @property
     def n_qubits(self) -> int:
         return int(np.log2(len(self.amplitudes)))

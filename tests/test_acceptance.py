@@ -78,14 +78,14 @@ def training_traces():
         curriculum[seed] = {}
         for env_id in range(6):
             seed_k = child_seed(seed, env_id)
-            env = CircuitEnv(build_environment(env_id), seed=seed_k)
+            env = CircuitEnv(build_environment(env_id))
             config = PPRConfig(episodes=EPISODES, use_epsilon_greedy=(env_id == 0))
             result = ppr_run(env, library, config, np.random.default_rng(seed_k))
             library.append(result.policy, f"env-{env_id}")
             curriculum[seed][env_id] = np.array([e.score for e in result.log])
         for env_id in (2, 3, 4, 5):
             seed_k = child_seed(seed, env_id)
-            env = CircuitEnv(build_environment(env_id), seed=seed_k)
+            env = CircuitEnv(build_environment(env_id))
             config = PPRConfig(episodes=EPISODES, use_epsilon_greedy=True)
             result = ppr_run(env, PolicyLibrary(), config, np.random.default_rng(seed_k))
             scratch[(seed, env_id)] = np.array([e.score for e in result.log])
@@ -93,7 +93,7 @@ def training_traces():
 
 
 def test_criterion_1_exact_bell_solution():
-    env = CircuitEnv(build_environment(0), seed=0)
+    env = CircuitEnv(build_environment(0))
     env.reset()
     env.step(H0)
     result = env.step(CNOT01)

@@ -96,6 +96,25 @@ class TestExperimentConfig:
     def test_error_override_beats_stage_table(self):
         config = ExperimentConfig(env_id=1, error_x=0.2)
         assert config.gate_errors() == {GateKind.PAULI_X: 0.2}
+        assert config.env_config().noise.gate_p(GateKind.PAULI_X) == 0.2
+
+    @pytest.mark.parametrize("env_id", range(6))
+    def test_default_env_config_is_the_numbered_environment(self, env_id):
+        assert ExperimentConfig(env_id=env_id).env_config() == build_environment(env_id)
+
+    def test_zero_override_makes_a_gate_noiseless(self):
+        noise = ExperimentConfig(env_id=3, error_cnot=0.0).env_config().noise
+        assert noise.gate_p(GateKind.CNOT) == 0.0
+        assert noise.gate_p(GateKind.PAULI_X) == 0.01
+
+    @pytest.mark.parametrize("text, message", [
+        ("seed = abc\n", r"^config line 1 \(seed\): invalid literal for int\(\)"),
+        ("env_id = 2\n\nerror_x = lots\n", r"^config line 3 \(error_x\): could not convert"),
+        ("episodes = none\n", r"^config line 1 \(episodes\): "),
+    ], ids=["int", "optional_float", "none_for_a_required_field"])
+    def test_parse_error_names_line_and_key(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_text(text)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
@@ -342,6 +361,15 @@ class TestCli:
         code = main(["run", "--config", str(tmp_path / "config.txt")])
         assert code == 0
         assert (tmp_path / "run" / "runlog.csv").exists()
+
+    def test_negative_error_override_is_one_line_error(self, tmp_path, capsys):
+        tiny_config(tmp_path, env_id=1, error_x=-0.5).to_file(tmp_path / "config.txt")
+        code = main(["run", "--config", str(tmp_path / "config.txt")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gate error for x out of [0, 1]: -0.5")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run" / "runlog.csv").exists()
 
     def test_bad_env_returns_error(self, tmp_path, capsys):
         code = main(["run", "--env", "9", "--out", str(tmp_path / "run")])

@@ -1,4 +1,5 @@
-"""Golden trajectories: the exact bytes of ``runlog.csv`` for two short fixed runs.
+"""Golden trajectories: the exact bytes of ``runlog.csv`` for two short fixed
+runs, and of the default ``config.txt``.
 
 A refactor that keeps the numerics keeps these checksums.  A change that
 alters the numerics on purpose records the new checksums here and says
@@ -15,6 +16,7 @@ from conftest import bell_solver_network
 from qasrl.experiments import ExperimentConfig, run_single
 from qasrl.ppr import PolicyLibrary, save_library, softmax_select
 
+DEFAULT_CONFIG_TXT = "96e2e124b2bcbc54033fbd7958bf2dad6908f9024687ee108d86730e75209f7a"
 SCRATCH_ENV3_SEED0 = "3939ac37b5f0333e4dd54399d16b8c88da061600939b32d284b7f73f7da0b643"
 PPR_ENV1_SEED0 = "cd046cf878cda98b2526fae66238d8ce0e520925df9c6dbbe41f0ef2a0c2fecc"
 
@@ -36,6 +38,11 @@ def test_ppr_stage_with_one_policy_library(tmp_path):
     config = ExperimentConfig(env_id=1, mode="ppr", library=str(tmp_path / "lib"), seed=0,
                               episodes=200, out=str(tmp_path / "run"))
     assert runlog_sha256(config) == PPR_ENV1_SEED0
+
+
+def test_default_config_file(tmp_path):
+    ExperimentConfig().to_file(tmp_path / "config.txt")
+    assert hashlib.sha256((tmp_path / "config.txt").read_bytes()).hexdigest() == DEFAULT_CONFIG_TXT
 
 
 def test_softmax_select_draws_as_rng_choice():

@@ -4,7 +4,7 @@ finite differences, Adam against a scripted reference."""
 import numpy as np
 import pytest
 
-from conftest import finite_difference_max_rel_err
+from conftest import central_differences, finite_difference_max_rel_err
 from qasrl.network import (
     AdamState,
     QNetwork,
@@ -135,6 +135,24 @@ class TestLossAndGradient:
         np.testing.assert_array_equal(dw_out[:, untouched], 0.0)
         np.testing.assert_array_equal(db_out[untouched], 0.0)
         assert np.any(dw_out[:, 4] != 0)
+
+    def test_stacked_central_differences_match_one_entry_at_a_time(self):
+        rng = np.random.default_rng(8)
+        delta = 1e-5
+        for _ in range(5):
+            net = QNetwork([6, 16, 16, 12], rng=rng)
+            net.params[:] += 0.1 * rng.normal(size=net.params.size)
+            x, action, target = rng.normal(size=6), int(rng.integers(12)), float(rng.normal())
+            expected = []
+            for i in range(net.params.size):
+                keep = net.params[i]
+                net.params[i] = keep + delta
+                up = (net.forward(x)[action] - target) ** 2
+                net.params[i] = keep - delta
+                down = (net.forward(x)[action] - target) ** 2
+                net.params[i] = keep
+                expected.append((up - down) / (2 * delta))
+            assert np.array_equal(central_differences(net, x, action, target, delta), expected)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(2024)

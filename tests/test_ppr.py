@@ -107,14 +107,6 @@ class TestReuseStats:
             stats.advance_temperature()
         np.testing.assert_allclose(stats.temperature, 10.0, atol=1e-12)
 
-    def test_extend_adds_zeroed_slot(self):
-        stats = ReuseStats.fresh(2)
-        stats.record(0, 0.7)
-        stats.extend()
-        assert stats.n_slots == 3
-        assert stats.mean_scores[2] == 0.0
-        assert stats.selection_counts[2] == 0
-
 
 class TestExplorationParams:
     def test_decay_after_three_steps(self):
@@ -164,15 +156,6 @@ class TestPolicyLibrary:
             library.policy(0)
         with pytest.raises(ValueError):
             library.policy(2)
-
-    def test_append_extends_stats_with_zeros(self):
-        library = PolicyLibrary()
-        assert library.n_slots == 1
-        library.stats.record(0, 0.9)
-        library.append(QNetwork([6, 8, 12]), "first")
-        assert library.n_slots == 2
-        assert library.stats.mean_scores[1] == 0.0
-        assert library.stats.selection_counts[1] == 0
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -343,6 +326,7 @@ class TestPprRun:
         library.append(bell_solver_network(), "solver")
         config = PPRConfig(episodes=300, dqn=DQNConfig(hidden_sizes=(8,)))
         result = ppr_run(fast_env(), library, config, np.random.default_rng(21))
+        assert result.stats.n_slots == len(library) + 1
         scores = np.array([e.score for e in result.log])
         slots = np.array([e.policy_index for e in result.log])
         for slot in range(2):

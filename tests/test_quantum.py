@@ -284,6 +284,17 @@ class TestFidelity:
             fidelity(initial_state(1), bell_state())
 
 
+class TestTargetStateEquality:
+    def test_equal_amplitudes_compare_equal(self):
+        assert bell_state() == bell_state()
+        assert TargetState([1.0, 0.0]) == TargetState(np.array([1.0, 0.0], dtype=complex))
+
+    def test_different_amplitudes_or_sizes_differ(self):
+        assert bell_state() != TargetState(np.array([1, 0, 0, -1]) / np.sqrt(2))
+        assert bell_state() != TargetState([1.0, 0.0])
+        assert bell_state() != "bell"
+
+
 class TestValidation:
     def test_density_matrix_shape_check(self):
         with pytest.raises(ValueError):
