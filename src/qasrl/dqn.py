@@ -100,8 +100,16 @@ class DQNConfig:
             raise ValueError(f"batch_size {self.batch_size} exceeds replay_capacity {self.replay_capacity}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma out of [0, 1): {self.gamma}")
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if self.target_update_period < 1:
+            raise ValueError(f"target_update_period must be positive, got {self.target_update_period}")
+        for name in ("epsilon_start", "epsilon_decay", "epsilon_min"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} out of [0, 1]: {getattr(self, name)}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} out of [0, 1): {getattr(self, name)}")
 
 
 def compute_targets(batch: Batch, target_net: QNetwork, gamma: float) -> np.ndarray:

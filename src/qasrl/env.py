@@ -7,7 +7,9 @@ threshold (reward = fidelity) or when the step budget runs out
 (reward = -step_penalty, like every other step).
 """
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,10 +70,11 @@ class EnvConfig:
             raise ValueError(f"fidelity threshold out of (0, 1]: {self.fidelity_threshold}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be positive, got {self.max_steps}")
+        if not math.isfinite(self.step_penalty):
+            raise ValueError(f"step_penalty must be finite, got {self.step_penalty}")
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     observation: np.ndarray
     reward: float
     done: bool

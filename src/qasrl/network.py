@@ -59,14 +59,17 @@ class QNetwork:
         """Q-values for one observation (1-D) or a batch (2-D)."""
         x = np.asarray(inputs, dtype=float)
         single = x.ndim == 1
-        h = np.atleast_2d(x)
-        if h.shape[1] != self.layer_sizes[0]:
+        h = x.reshape(1, -1) if single else x
+        if h.ndim != 2 or h.shape[1] != self.layer_sizes[0]:
             raise ValueError(
-                f"input dim {h.shape[1]} does not match network input {self.layer_sizes[0]}"
+                f"input shape {x.shape} does not match network input {self.layer_sizes[0]}"
             )
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
-        out = h @ self.weights[-1] + self.biases[-1]
+            h = h @ w
+            h += b
+            np.maximum(h, 0.0, out=h)
+        out = h @ self.weights[-1]
+        out += self.biases[-1]
         return out[0] if single else out
 
 
@@ -88,30 +91,36 @@ def mse_loss_and_grad(net: QNetwork, inputs: np.ndarray, actions: np.ndarray, ta
     if acts_idx.min() < 0 or acts_idx.max() >= net.output_dim:
         raise ValueError("action index out of range")
 
-    # forward, keeping pre-activations for the backward pass
+    # forward in place, keeping each hidden layer's ReLU mask for the backward pass
     activations = [x]
-    pre_acts = []
+    masks = []
     h = x
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = h @ w + b
-        pre_acts.append(z)
-        h = np.maximum(z, 0.0)
+        h = h @ w
+        h += b
+        masks.append(h > 0)
+        np.maximum(h, 0.0, out=h)
         activations.append(h)
-    out = h @ net.weights[-1] + net.biases[-1]
+    out = h @ net.weights[-1]
+    out += net.biases[-1]
 
     rows = np.arange(batch)
-    err = out[rows, acts_idx] - tgt
-    loss = float(np.mean(err**2))
+    err = out[rows, acts_idx]
+    err -= tgt
+    loss = float(np.add.reduce(err * err)) / batch  # np.mean's sum, then divide
 
+    err *= 2.0
+    err /= batch
     delta = np.zeros_like(out)
-    delta[rows, acts_idx] = 2.0 * err / batch
+    delta[rows, acts_idx] = err
     grad = np.empty_like(net.params)
     dws, dbs = net.layer_views(grad)
     for layer in range(len(net.weights) - 1, -1, -1):
         np.matmul(activations[layer].T, delta, out=dws[layer])
-        delta.sum(axis=0, out=dbs[layer])
+        np.add.reduce(delta, axis=0, out=dbs[layer])
         if layer > 0:
-            delta = (delta @ net.weights[layer].T) * (pre_acts[layer - 1] > 0)
+            delta = delta @ net.weights[layer].T
+            delta *= masks[layer - 1]
     return loss, grad
 
 

@@ -9,6 +9,7 @@ episode, handing control back to the new network.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -194,6 +195,9 @@ class PPRConfig:
     def __post_init__(self):
         if self.episodes < 0:
             raise ValueError(f"episodes must not be negative, got {self.episodes}")
+        for name in ("temperature_init", "temperature_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.temperature_step < 0:
             raise ValueError(f"temperature_step must not be negative, got {self.temperature_step}")
 

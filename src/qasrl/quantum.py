@@ -41,6 +41,9 @@ class GateKind(enum.Enum):
     HADAMARD = "h"
     CNOT = "cnot"
 
+    # Identity hash in C: Enum's own hashes the name in Python, twice a step.
+    __hash__ = object.__hash__
+
 
 _SINGLE_QUBIT_MATRIX = {
     GateKind.ROT_PI4: _ROT_PI4,

@@ -374,10 +374,33 @@ class TestConfigValidation:
         (dict(gamma=float("nan")), "gamma"),
         (dict(learning_rate=0.0), "learning_rate"),
         (dict(learning_rate=-1e-3), "learning_rate"),
+        (dict(learning_rate=float("inf")), "learning_rate"),
+        (dict(learning_rate=float("nan")), "learning_rate"),
+        (dict(target_update_period=0), "target_update_period"),
+        (dict(target_update_period=-3), "target_update_period"),
+        (dict(epsilon_start=1.5), "epsilon_start"),
+        (dict(epsilon_start=-0.1), "epsilon_start"),
+        (dict(epsilon_decay=2.0), "epsilon_decay"),
+        (dict(epsilon_decay=float("nan")), "epsilon_decay"),
+        (dict(epsilon_min=-0.01), "epsilon_min"),
+        (dict(epsilon_min=1.01), "epsilon_min"),
+        (dict(adam_beta1=1.0), "adam_beta1"),
+        (dict(adam_beta1=-0.1), "adam_beta1"),
+        (dict(adam_beta2=2.0), "adam_beta2"),
+        (dict(adam_beta2=1.0), "adam_beta2"),
+        (dict(adam_beta2=float("nan")), "adam_beta2"),
     ])
     def test_rejects_with_the_field_name(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             DQNConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(target_update_period=1),
+        dict(epsilon_start=0.0, epsilon_decay=1.0, epsilon_min=1.0),
+        dict(adam_beta1=0.0, adam_beta2=0.0),
+    ])
+    def test_accepts_the_closed_ends(self, kwargs):
+        DQNConfig(**kwargs)
 
     def test_min_replay_may_exceed_capacity(self):
         # a huge min_replay is how callers switch learning off

@@ -185,6 +185,11 @@ class TestEnvConfig:
         with pytest.raises(ValueError):
             EnvConfig(max_steps=0)
 
+    @pytest.mark.parametrize("penalty", [float("nan"), float("inf"), float("-inf")])
+    def test_step_penalty_must_be_finite(self, penalty):
+        with pytest.raises(ValueError, match="step_penalty"):
+            EnvConfig(step_penalty=penalty)
+
     def test_target_size_must_match(self):
         with pytest.raises(ValueError):
             EnvConfig(n_qubits=1, target=bell_state())

@@ -371,6 +371,27 @@ class TestCli:
         assert err.count("\n") == 1
         assert not (tmp_path / "run" / "runlog.csv").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("target_update_period", 0),
+        ("epsilon_start", 1.5),
+        ("epsilon_decay", 2.0),
+        ("epsilon_min", -0.5),
+        ("adam_beta1", 1.0),
+        ("adam_beta2", 2.0),
+        ("learning_rate", float("inf")),
+        ("step_penalty", float("nan")),
+        ("temperature_init", float("nan")),
+        ("temperature_step", float("inf")),
+    ])
+    def test_out_of_range_setting_is_one_line_error(self, tmp_path, capsys, field, value):
+        tiny_config(tmp_path, **{field: value}).to_file(tmp_path / "config.txt")
+        code = main(["run", "--config", str(tmp_path / "config.txt")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
     def test_bad_env_returns_error(self, tmp_path, capsys):
         code = main(["run", "--env", "9", "--out", str(tmp_path / "run")])
         assert code == 1

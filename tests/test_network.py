@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import central_differences, finite_difference_max_rel_err
+from qasrl.dqn import Batch, compute_targets
 from qasrl.network import (
     AdamState,
     QNetwork,
@@ -349,3 +350,113 @@ def test_malformed_snapshot_is_a_value_error_naming_the_file(tmp_path, content):
     with pytest.raises(ValueError, match="broken\\.qnet: ") as info:
         load_policy(path)
     assert "\n" not in str(info.value)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """np.array_equal, and the signs of zeros agree too."""
+    return np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+def plain_forward(net: QNetwork, inputs) -> np.ndarray:
+    """The forward pass written with one temporary per op."""
+    x = np.asarray(inputs, dtype=float)
+    single = x.ndim == 1
+    h = np.atleast_2d(x)
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = np.maximum(h @ w + b, 0.0)
+    out = h @ net.weights[-1] + net.biases[-1]
+    return out[0] if single else out
+
+
+def plain_loss_and_grad(net: QNetwork, x, actions, targets):
+    """The TD loss and its flat gradient written with one temporary per op."""
+    activations, pre_acts, h = [x], [], x
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        z = h @ w + b
+        pre_acts.append(z)
+        h = np.maximum(z, 0.0)
+        activations.append(h)
+    out = h @ net.weights[-1] + net.biases[-1]
+    rows = np.arange(len(x))
+    err = out[rows, actions] - targets
+    loss = float(np.mean(err**2))
+    delta = np.zeros_like(out)
+    delta[rows, actions] = 2.0 * err / len(x)
+    pieces = []
+    for layer in range(len(net.weights) - 1, -1, -1):
+        pieces[:0] = [(activations[layer].T @ delta).ravel(), delta.sum(axis=0)]
+        if layer > 0:
+            delta = (delta @ net.weights[layer].T) * (pre_acts[layer - 1] > 0)
+    return loss, np.concatenate(pieces)
+
+
+def plain_adam(params, m, v, t, grad, lr, b1, b2, eps):
+    """One Adam update written with one temporary per op; returns new (params, m, v)."""
+    m = m * b1 + (1.0 - b1) * grad
+    v = v * b2 + (1.0 - b2) * grad * grad
+    step = lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+    return params - step, m, v
+
+
+class TestBitIdenticalToPlainFormulas:
+    """The learner computes in place, and must give the same bits as the
+    plain formulas above: forward outputs, loss, gradient and the
+    parameters after Adam, on batches of 1 to 64 rows, rows whose hidden
+    units are all dead, pre-activations of exactly zero, and the live
+    subsets of 1 and 63 rows that compute_targets forwards."""
+
+    ARCHITECTURES = ([6, 64, 64, 12], [6, 16, 12], [4, 8, 8, 8, 3])
+    BATCH_SIZES = (1, 63, 64, None)  # None: a random size in 2..64
+
+    def _case(self, rng, sizes, trial):
+        net = QNetwork(sizes, rng=rng)
+        net.params[:] += 0.1 * rng.normal(size=net.params.size)
+        n = self.BATCH_SIZES[trial % 4] or int(rng.integers(2, 65))
+        x = rng.uniform(-1.0, 1.0, size=(n, sizes[0]))
+        kind = trial // 3 % 3  # trial % 3 picks the architecture
+        if kind:  # zero input rows: all first-layer units dead, or pre-activations exactly 0
+            net.biases[0][:] = -np.abs(net.biases[0]) if kind == 1 else 0.0
+            x[rng.random(n) < 0.5] = 0.0
+        return net, x, rng.integers(sizes[-1], size=n), rng.normal(size=n)
+
+    def test_loss_gradient_and_adam_step(self):
+        rng = np.random.default_rng(77)
+        dead_rows = 0
+        for trial in range(600):
+            sizes = self.ARCHITECTURES[trial % len(self.ARCHITECTURES)]
+            net, x, actions, targets = self._case(rng, sizes, trial)
+            dead_rows += int((np.maximum(x @ net.weights[0] + net.biases[0], 0.0) == 0).all(axis=1).sum())
+
+            assert same_bits(net.forward(x), plain_forward(net, x))
+            assert same_bits(net.forward(x[0]), plain_forward(net, x[0]))
+            assert same_bits(net.forward(x[:1]), plain_forward(net, x[:1]))
+
+            loss, grad = mse_loss_and_grad(net, x, actions, targets)
+            plain_loss, plain_grad = plain_loss_and_grad(net, x, actions, targets)
+            assert loss == plain_loss
+            assert same_bits(grad, plain_grad)
+
+            state = AdamState.for_network(net, learning_rate=float(rng.uniform(1e-4, 1e-2)))
+            state.t = int(rng.integers(0, 1000))
+            state.m[:] = 0.01 * rng.normal(size=net.params.size)
+            state.v[:] = 1e-4 * rng.random(net.params.size)
+            expected = plain_adam(net.params, state.m, state.v, state.t + 1, grad,
+                                  state.learning_rate, state.beta1, state.beta2, state.epsilon)
+            adam_step(net, state, grad)
+            for got, want in zip((net.params, state.m, state.v), expected):
+                assert same_bits(got, want)
+        assert dead_rows > 1000
+
+    @pytest.mark.parametrize("n_live", [1, 63, 64])
+    def test_targets_over_live_subsets(self, n_live):
+        rng = np.random.default_rng(n_live)
+        for _ in range(20):
+            net = QNetwork([6, 64, 64, 12], rng=rng)
+            net.params[:] += 0.1 * rng.normal(size=net.params.size)
+            live = np.zeros(64, dtype=bool)
+            live[rng.choice(64, size=n_live, replace=False)] = True
+            batch = Batch(rng.uniform(-1, 1, size=(64, 6)), rng.integers(12, size=64),
+                          rng.normal(size=64), rng.uniform(-1, 1, size=(64, 6)), live)
+            expected = batch.rewards.copy()
+            expected[live] += 0.7 * plain_forward(net, batch.next_states[live]).max(axis=1)
+            assert same_bits(compute_targets(batch, net, 0.7), expected)

@@ -386,6 +386,10 @@ class TestPprConfigValidation:
     @pytest.mark.parametrize("kwargs, field", [
         (dict(episodes=-5), "episodes"),
         (dict(temperature_step=-0.01), "temperature_step"),
+        (dict(temperature_step=float("nan")), "temperature_step"),
+        (dict(temperature_step=float("inf")), "temperature_step"),
+        (dict(temperature_init=float("nan")), "temperature_init"),
+        (dict(temperature_init=float("-inf")), "temperature_init"),
     ])
     def test_rejects_with_the_field_name(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
