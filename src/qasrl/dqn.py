@@ -102,6 +102,8 @@ class DQNConfig:
             raise ValueError(f"gamma out of [0, 1): {self.gamma}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if any(size < 1 for size in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
         if self.target_update_period < 1:
             raise ValueError(f"target_update_period must be positive, got {self.target_update_period}")
         for name in ("epsilon_start", "epsilon_decay", "epsilon_min"):

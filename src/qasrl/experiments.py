@@ -18,7 +18,7 @@ import numpy as np
 
 from .dqn import DQNConfig
 from .env import CircuitEnv, EnvConfig
-from .network import load_policy, save_policy
+from .network import QNetwork, load_policy, save_policy, write_file  # load_policy: perfbench traces it here
 from .ppr import PolicyLibrary, PPRConfig, RunRow, ppr_run, load_library, save_library
 from .quantum import GateKind, NoiseSpec
 
@@ -103,7 +103,7 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
     def to_file(self, path) -> None:
-        Path(path).write_text(self.to_text())
+        write_file(path, self.to_text().encode("utf-8"))
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -199,9 +199,7 @@ class RunLog:
                 value = getattr(row, col)
                 cells.append(str(value) if col in _INT_COLUMNS else format(value, ".12g"))
             lines.append(",".join(cells))
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(lines) + "\n")
+        write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
     @classmethod
     def from_csv(cls, path) -> "RunLog":
@@ -240,7 +238,6 @@ class RunLog:
 def run_single(config: ExperimentConfig) -> RunLog:
     """Execute one run and write runlog.csv, policy.qnet and config.txt
     under config.out."""
-    env = CircuitEnv(config.env_config())
     if config.mode == "ppr":
         if not config.library:
             raise ValueError("ppr mode needs --library pointing at a policy library")
@@ -249,43 +246,38 @@ def run_single(config: ExperimentConfig) -> RunLog:
         if config.library:
             raise ValueError("from_scratch mode does not take a library")
         library = PolicyLibrary()
+    return _train(config, library)[0]
+
+
+def _train(config: ExperimentConfig, library: PolicyLibrary) -> tuple[RunLog, QNetwork]:
+    """run_single's training and three files, with ``library`` for reuse; returns (log, policy)."""
+    env = CircuitEnv(config.env_config())
     result = ppr_run(env, library, config.ppr_config(), np.random.default_rng(config.seed))
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     log = RunLog(result.log)
     log.to_csv(out / "runlog.csv")
     save_policy(result.policy, out / "policy.qnet")
     config.to_file(out / "config.txt")
-    return log
+    return log, result.policy
 
 
 def run_curriculum(seed: int, output_dir, episodes: int = 1000,
                    resume: bool = False) -> list[tuple[int, RunLog]]:
     """Train environments 0..5 in order, banking each policy.
 
-    Env 0 trains from scratch; later environments reuse the library
-    built so far.  With ``resume=True``, environments whose policy and
-    run log already exist are skipped.
+    Env 0 trains from scratch; later ones reuse the library built so far,
+    held in memory.  With ``resume=True``, stages in the saved library
+    are skipped once their config.txt shows this seed and episode count.
     """
     out = Path(output_dir)
     library_dir = out / "library"
-    if resume and (library_dir / "manifest.json").exists():
-        library = load_library(library_dir)
-    else:
-        library = PolicyLibrary()
+    resumed = resume and (library_dir / "manifest.json").exists()
+    library = load_library(library_dir) if resumed else PolicyLibrary()
     logs = []
     for env_id in sorted(ENVIRONMENT_NOISE):
         tag = f"env-{env_id}"
         env_out = out / f"env{env_id}"
-        runlog_path = env_out / "runlog.csv"
-        if resume and tag in library.tags:
-            if not runlog_path.exists():
-                raise RuntimeError(
-                    f"library holds {tag} but {runlog_path} is missing; "
-                    "delete the output directory to restart"
-                )
-            logs.append((env_id, RunLog.from_csv(runlog_path)))
-            continue
+        runlog_path, config_path = env_out / "runlog.csv", env_out / "config.txt"
         config = ExperimentConfig(
             env_id=env_id,
             mode="from_scratch" if env_id == 0 else "ppr",
@@ -294,8 +286,20 @@ def run_curriculum(seed: int, output_dir, episodes: int = 1000,
             episodes=episodes,
             out=str(env_out),
         )
-        log = run_single(config)
-        library.append(load_policy(env_out / "policy.qnet"), tag)
+        if resume and tag in library.tags:
+            if not runlog_path.exists():
+                raise RuntimeError(
+                    f"library holds {tag} but {runlog_path} is missing; "
+                    "delete the output directory to restart"
+                )
+            done = ExperimentConfig.from_file(config_path)
+            if (done.seed, done.episodes) != (config.seed, config.episodes):
+                raise ValueError(f"{config_path}: ran with seed {done.seed} and {done.episodes} episodes, "
+                                 f"not the seed {config.seed} and {config.episodes} episodes asked for")
+            logs.append((env_id, RunLog.from_csv(runlog_path)))
+            continue
+        log, policy = _train(config, library)
+        library.append(policy, tag)
         save_library(library, library_dir)
         logs.append((env_id, log))
     return logs
@@ -334,8 +338,7 @@ def emit_plot(log: RunLog, image_path, rolling_csv_path=None, window: int = 50):
         f"{row.episode},{format(value, '.12g')}"
         for row, value in zip(log.rows, rolling)
     ]
-    rolling_csv_path.parent.mkdir(parents=True, exist_ok=True)
-    rolling_csv_path.write_text("\n".join(lines) + "\n")
+    write_file(rolling_csv_path, ("\n".join(lines) + "\n").encode("utf-8"))
 
     canvas = np.full((PLOT_HEIGHT, PLOT_WIDTH, 3), 255, dtype=np.uint8)
     top, left = _FRAME_MARGIN, _FRAME_MARGIN
@@ -350,8 +353,7 @@ def emit_plot(log: RunLog, image_path, rolling_csv_path=None, window: int = 50):
         y_range = (scores.min(), scores.max(), bottom - _FRAME_INSET, top + _FRAME_INSET)
         _draw_polyline(canvas, px, _to_pixels(scores, *y_range), SCORE_RGB, 1)
         _draw_polyline(canvas, px, _to_pixels(rolling, *y_range), ROLLING_RGB, 2)
-    image_path.parent.mkdir(parents=True, exist_ok=True)
-    image_path.write_bytes(_encode_png(canvas))
+    write_file(image_path, _encode_png(canvas))
     return rolling_csv_path, image_path
 
 

@@ -21,14 +21,11 @@ class QNetwork:
     they start at zero.  Biases always start at zero.
     """
 
-    def __init__(self, layer_sizes, activation: str = "relu", rng: np.random.Generator | None = None):
+    def __init__(self, layer_sizes, rng: np.random.Generator | None = None):
         sizes = [int(s) for s in layer_sizes]
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ValueError(f"bad layer sizes {layer_sizes}")
-        if activation != "relu":
-            raise ValueError(f"unsupported activation {activation!r}")
         self.layer_sizes = sizes
-        self.activation = activation
         # Every parameter in one vector, W0, b0, W1, b1, ...: the snapshot byte order.
         self.params = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:])))
         self.weights, self.biases = self.layer_views(self.params)
@@ -46,10 +43,6 @@ class QNetwork:
             biases.append(flat[cursor:cursor + fan_out])
             cursor += fan_out
         return weights, biases
-
-    @property
-    def input_dim(self) -> int:
-        return self.layer_sizes[0]
 
     @property
     def output_dim(self) -> int:
@@ -158,7 +151,7 @@ def adam_step(net: QNetwork, state: AdamState, grad: np.ndarray) -> None:
 
 def clone_parameters(net: QNetwork) -> QNetwork:
     """Deep copy: same architecture, independent parameter vector."""
-    copy = QNetwork(net.layer_sizes, activation=net.activation)
+    copy = QNetwork(net.layer_sizes)
     copy.params[:] = net.params
     return copy
 
@@ -169,17 +162,24 @@ def file_error(path, exc: Exception) -> ValueError:
     return ValueError(f"{path}: {reason}")
 
 
+def write_file(path, data: bytes) -> None:
+    """Replace ``path`` by ``data`` atomically, through a temp file beside it; makes the directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_policy(net: QNetwork, path) -> None:
     """Write a self-describing snapshot: JSON header line, then raw
     little-endian float64 parameters (per layer, weights then bias)."""
-    header = {
-        "format_version": SNAPSHOT_FORMAT_VERSION,
-        "layer_sizes": net.layer_sizes,
-        "activation": net.activation,
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        fh.write(net.params.astype("<f8", copy=False).tobytes())
+    header = {"format_version": SNAPSHOT_FORMAT_VERSION, "layer_sizes": net.layer_sizes, "activation": "relu"}
+    write_file(path, json.dumps(header).encode("utf-8") + b"\n" + net.params.astype("<f8", copy=False).tobytes())
 
 
 def load_policy(path) -> QNetwork:
@@ -193,7 +193,9 @@ def load_policy(path) -> QNetwork:
         header = json.loads(header_line)
         if header.get("format_version") != SNAPSHOT_FORMAT_VERSION:
             raise ValueError(f"unsupported snapshot format {header.get('format_version')!r}")
-        net = QNetwork(header["layer_sizes"], activation=header["activation"])
+        if header["activation"] != "relu":
+            raise ValueError(f"unsupported activation {header['activation']!r}")
+        net = QNetwork(header["layer_sizes"])
         if len(blob) != 8 * net.params.size:
             raise ValueError(f"snapshot holds {len(blob) / 8:g} parameters, expected {net.params.size}")
     except (ValueError, KeyError, TypeError, AttributeError) as exc:

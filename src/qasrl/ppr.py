@@ -11,7 +11,6 @@ episode, handing control back to the new network.
 import json
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from .dqn import (
     select_action_greedy,
 )
 from .env import CircuitEnv, EpisodeRecord
-from .network import QNetwork, clone_parameters, file_error, load_policy, save_policy
+from .network import QNetwork, clone_parameters, file_error, load_policy, save_policy, write_file
 
 LIBRARY_FORMAT_VERSION = 1
 
@@ -263,20 +262,15 @@ def ppr_run(env: CircuitEnv, library: PolicyLibrary, config: PPRConfig,
 
 
 def save_library(library: PolicyLibrary, directory) -> None:
-    """One snapshot file per policy plus a manifest with order and tags."""
+    """One snapshot file per policy, then the manifest of order and tags, which commits them."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, tag in enumerate(library.tags):
         filename = f"policy_{i:03d}.qnet"
         save_policy(library.policy(i + 1), directory / filename)
-        entries.append({
-            "file": filename,
-            "tag": tag,
-            "created": datetime.now(timezone.utc).isoformat(),
-        })
+        entries.append({"file": filename, "tag": tag})
     manifest = {"format_version": LIBRARY_FORMAT_VERSION, "policies": entries}
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    write_file(directory / "manifest.json", json.dumps(manifest, indent=2).encode("utf-8"))
 
 
 def load_library(directory) -> PolicyLibrary:

@@ -389,6 +389,8 @@ class TestConfigValidation:
         (dict(adam_beta2=2.0), "adam_beta2"),
         (dict(adam_beta2=1.0), "adam_beta2"),
         (dict(adam_beta2=float("nan")), "adam_beta2"),
+        (dict(hidden_sizes=(64, 0)), "hidden_sizes"),
+        (dict(hidden_sizes=(-1, 64)), "hidden_sizes"),
     ])
     def test_rejects_with_the_field_name(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -398,6 +400,7 @@ class TestConfigValidation:
         dict(target_update_period=1),
         dict(epsilon_start=0.0, epsilon_decay=1.0, epsilon_min=1.0),
         dict(adam_beta1=0.0, adam_beta2=0.0),
+        dict(hidden_sizes=(1, 1)),
     ])
     def test_accepts_the_closed_ends(self, kwargs):
         DQNConfig(**kwargs)

@@ -2,12 +2,16 @@
 artifacts, determinism, curriculum resume, the PNG score plot, and the
 CLI entry point."""
 
+import os
+import shutil
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
+import qasrl.experiments
+import qasrl.ppr
 from conftest import bell_solver_network, poison_agents
 from qasrl.cli import main
 from qasrl.experiments import (
@@ -25,6 +29,7 @@ from qasrl.experiments import (
     run_curriculum,
     run_single,
 )
+from qasrl.network import write_file
 from qasrl.ppr import PolicyLibrary, load_library, save_library
 from qasrl.quantum import GateKind
 
@@ -313,6 +318,42 @@ class TestPngWriter:
             emit_plot(score_log([0.5, float("nan")]), tmp_path / "scores.png")
 
 
+class Interrupted(Exception):
+    """Raised by a patched function to cut a curriculum short."""
+
+
+def raise_on_call(monkeypatch, owner, name, call):
+    """Make ``owner.name`` raise Interrupted on its ``call``-th call."""
+    original = getattr(owner, name)
+    calls = 0
+
+    def patched(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == call:
+            raise Interrupted(f"{name} call {call}")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, patched)
+
+
+def tree_bytes(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def curriculum_cut_in_stage_3(monkeypatch, out, seed, episodes):
+    """A curriculum interrupted halfway through stage 3's episode loop,
+    so the saved library holds stages 0..2."""
+    with monkeypatch.context() as patch:
+        # One _play_episode call per episode: stage 3 holds calls 3E+1..4E.
+        raise_on_call(patch, qasrl.ppr, "_play_episode", 3 * episodes + episodes // 2)
+        with pytest.raises(Interrupted):
+            run_curriculum(seed=seed, output_dir=out, episodes=episodes)
+    assert load_library(out / "library").tags == ["env-0", "env-1", "env-2"]
+
+
 class TestCurriculum:
     def test_six_stages_and_tagged_library(self, tmp_path):
         results = run_curriculum(seed=3, output_dir=tmp_path / "cur", episodes=8)
@@ -338,6 +379,73 @@ class TestCurriculum:
         (out / "env2" / "runlog.csv").unlink()
         with pytest.raises(RuntimeError):
             run_curriculum(seed=3, output_dir=out, episodes=8, resume=True)
+
+    @pytest.mark.parametrize("cut", ["episode_loop", "before_manifest"])
+    def test_interrupted_curriculum_resumes_to_the_same_bytes(self, tmp_path, monkeypatch, cut):
+        out, episodes = tmp_path / "cur", 10
+        run_curriculum(seed=5, output_dir=out, episodes=episodes)
+        uninterrupted = tree_bytes(out)
+        shutil.rmtree(out)
+        if cut == "episode_loop":
+            curriculum_cut_in_stage_3(monkeypatch, out, 5, episodes)
+        else:
+            with monkeypatch.context() as patch:
+                # The fourth save follows stage 3, whose own files are then written.
+                raise_on_call(patch, qasrl.experiments, "save_library", 4)
+                with pytest.raises(Interrupted):
+                    run_curriculum(seed=5, output_dir=out, episodes=episodes)
+            assert (out / "env3" / "policy.qnet").read_bytes() == uninterrupted["env3/policy.qnet"]
+            assert load_library(out / "library").tags == ["env-0", "env-1", "env-2"]
+        run_curriculum(seed=5, output_dir=out, episodes=episodes, resume=True)
+        assert tree_bytes(out) == uninterrupted
+
+    @pytest.mark.parametrize("seed, episodes", [(3, 5), (4, 4)], ids=["episodes", "seed"])
+    def test_resume_refuses_other_settings(self, tmp_path, monkeypatch, seed, episodes):
+        out = tmp_path / "cur"
+        curriculum_cut_in_stage_3(monkeypatch, out, 3, 4)
+        before = tree_bytes(out)
+        with pytest.raises(ValueError, match="config.txt: ran with seed 3000 and 4 episodes"):
+            run_curriculum(seed=seed, output_dir=out, episodes=episodes, resume=True)
+        assert tree_bytes(out) == before
+
+    def test_resume_in_a_moved_directory(self, tmp_path):
+        run_curriculum(seed=3, output_dir=tmp_path / "a", episodes=4)
+        shutil.move(tmp_path / "a", tmp_path / "b")
+        before = tree_bytes(tmp_path / "b")
+        results = run_curriculum(seed=3, output_dir=tmp_path / "b", episodes=4, resume=True)
+        assert len(results) == 6
+        assert tree_bytes(tmp_path / "b") == before
+
+    def test_library_stays_in_memory(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(name, original):
+            def patched(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return patched
+
+        for owner, name in [(qasrl.ppr, "load_policy"), (qasrl.experiments, "load_policy"),
+                            (qasrl.experiments, "load_library")]:
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        run_curriculum(seed=3, output_dir=tmp_path / "cur", episodes=4)
+        assert calls == []
+        run_curriculum(seed=3, output_dir=tmp_path / "cur", episodes=4, resume=True)
+        assert calls == ["load_library"] + ["load_policy"] * 6
+
+
+def test_failed_replace_keeps_the_old_file(tmp_path, monkeypatch):
+    target = tmp_path / "manifest.json"
+    target.write_bytes(b"old")
+
+    def failing_replace(*args, **kwargs):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        write_file(target, b"new")
+    assert target.read_bytes() == b"old"
+    assert list(tmp_path.iterdir()) == [target]
 
 
 class TestCli:
@@ -389,6 +497,16 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("field", ["hidden1", "hidden2"])
+    def test_empty_hidden_layer_is_one_line_error(self, tmp_path, capsys, field):
+        tiny_config(tmp_path, **{field: 0}).to_file(tmp_path / "config.txt")
+        code = main(["run", "--config", str(tmp_path / "config.txt")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: hidden_sizes must be positive")
         assert err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
@@ -457,3 +575,15 @@ class TestCli:
         code = main(["curriculum", "--seed", "1", "--episodes", "4", "--out", str(tmp_path / "cur")])
         assert code == 0
         assert load_library(tmp_path / "cur" / "library").tags == [f"env-{k}" for k in range(6)]
+
+    def test_curriculum_resume_with_other_episodes_is_one_line_error(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "cur"
+        curriculum_cut_in_stage_3(monkeypatch, out, 1, 4)
+        before = tree_bytes(out)
+        code = main(["curriculum", "--seed", "1", "--episodes", "5", "--out", str(out), "--resume"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {out / 'env0' / 'config.txt'}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert tree_bytes(out) == before

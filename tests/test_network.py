@@ -85,13 +85,16 @@ class TestForward:
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
 
-    def test_rejects_bad_architecture(self):
+    def test_rejects_bad_architecture(self, tmp_path):
         with pytest.raises(ValueError):
             QNetwork([6])
         with pytest.raises(ValueError):
             QNetwork([6, 0, 12])
-        with pytest.raises(ValueError):
-            QNetwork([6, 12], activation="tanh")
+        # ReLU is the only activation; a snapshot naming another is refused.
+        path = tmp_path / "tanh.qnet"
+        path.write_bytes(b'{"format_version": 1, "layer_sizes": [6, 12], "activation": "tanh"}\n' + bytes(8 * 84))
+        with pytest.raises(ValueError, match="tanh\\.qnet: unsupported activation 'tanh'"):
+            load_policy(path)
 
 
 class TestLossAndGradient:
@@ -275,7 +278,6 @@ class TestCloneAndSnapshot:
         save_policy(net, path)
         loaded = load_policy(path)
         assert loaded.layer_sizes == net.layer_sizes
-        assert loaded.activation == net.activation
         for _ in range(100):
             x = rng.normal(size=6)
             np.testing.assert_allclose(loaded.forward(x), net.forward(x), atol=1e-12)

@@ -1,6 +1,7 @@
 """Policy-reuse tests: softmax selection, running-mean stats, episode
 drivers with a hand-built solver policy, and the full run loop."""
 
+import json
 import math
 
 import numpy as np
@@ -170,6 +171,19 @@ class TestPolicyLibrary:
             np.testing.assert_allclose(
                 loaded.policy(slot).forward(x), library.policy(slot).forward(x), atol=1e-12
             )
+
+    def test_manifest_is_deterministic_and_old_ones_still_load(self, tmp_path):
+        library = PolicyLibrary()
+        library.append(QNetwork([6, 8, 12]), "env-0")
+        save_library(library, tmp_path / "a")
+        save_library(library, tmp_path / "b")
+        manifest = (tmp_path / "a" / "manifest.json").read_text()
+        assert manifest == (tmp_path / "b" / "manifest.json").read_text()
+        assert json.loads(manifest)["policies"] == [{"file": "policy_000.qnet", "tag": "env-0"}]
+        # Manifests written before the created stamp was dropped still load.
+        (tmp_path / "a" / "manifest.json").write_text(
+            manifest.replace('"tag": "env-0"', '"tag": "env-0", "created": "2026-01-01T00:00:00+00:00"'))
+        assert load_library(tmp_path / "a").tags == ["env-0"]
 
     def test_load_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
