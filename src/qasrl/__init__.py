@@ -13,7 +13,8 @@ from .quantum import (
     pauli_expectations,
 )
 from .env import CircuitEnv, EnvConfig, EpisodeRecord, StepResult, enumerate_actions
-from .network import AdamState, QNetwork, adam_step, clone_parameters, load_policy, mse_loss_and_grad, save_policy
+from .network import (AdamState, QNetwork, Workspace, adam_step, clone_parameters, load_policy,
+                      mse_loss_and_grad, save_policy)
 from .dqn import (
     DQNAgent,
     DQNConfig,

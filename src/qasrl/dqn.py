@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import AdamState, QNetwork, adam_step, clone_parameters, mse_loss_and_grad
+from .network import AdamState, QNetwork, Workspace, adam_step, clone_parameters, mse_loss_and_grad
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,16 @@ class ReplayMemory:
         self.live[slot] = live = transition.next_state is not None
         self.next_states[slot] = transition.next_state if live else 0.0
 
-    def sample(self, k: int, rng: np.random.Generator) -> Batch:
-        """k distinct transitions, uniformly without replacement."""
+    def sample(self, k: int, rng: np.random.Generator, workspace: Workspace | None = None) -> Batch:
+        """k distinct transitions, uniformly without replacement; gathered
+        into ``workspace.batch`` (of exactly k rows) or else new arrays."""
         if k > len(self) or self.states is None:
             raise ValueError(f"cannot sample {k} from {len(self)} transitions")
         idx = rng.choice(len(self), size=k, replace=False)
-        return Batch(self.states[idx], self.actions[idx], self.rewards[idx],
-                     self.next_states[idx], self.live[idx])
+        columns = (self.states, self.actions, self.rewards, self.next_states, self.live)
+        outs = (None,) * len(columns) if workspace is None else workspace.batch
+        # idx is in range, so take need not buffer its output against an index error.
+        return Batch(*(column.take(idx, 0, out, "clip") for column, out in zip(columns, outs)))
 
 
 @dataclass
@@ -114,35 +117,51 @@ class DQNConfig:
                 raise ValueError(f"{name} out of [0, 1): {getattr(self, name)}")
 
 
-def compute_targets(batch: Batch, target_net: QNetwork, gamma: float) -> np.ndarray:
-    """r + gamma * max_a' Q(s', a'; target), or just r when terminal."""
-    targets = batch.rewards.copy()
-    if batch.live.any():
-        targets[batch.live] += gamma * target_net.forward(batch.next_states[batch.live]).max(axis=1)
+def compute_targets(batch: Batch, target_net: QNetwork, gamma: float,
+                    workspace: Workspace | None = None) -> np.ndarray:
+    """r + gamma * max_a' Q(s', a'; target), or just r when terminal.
+
+    Only the live rows go through the target network.  The targets are a
+    view of ``workspace.targets``; without a workspace the call makes a
+    fresh one.
+    """
+    rows = len(batch.rewards)
+    ws = Workspace(target_net, rows) if workspace is None else workspace
+    targets = ws.targets[:rows]
+    targets[:] = batch.rewards
+    live = batch.live.nonzero()[0]
+    if live.size:
+        next_states = batch.next_states.take(live, 0, ws.live_inputs[:live.size], "clip")
+        best = np.maximum.reduce(target_net.forward(next_states, ws), axis=1, out=ws.best_next[:live.size])
+        best *= gamma
+        np.add.at(targets, live, best)
     return targets
 
 
 def optimize(policy_net: QNetwork, target_net: QNetwork, memory: ReplayMemory,
-             config: DQNConfig, adam: AdamState, rng: np.random.Generator) -> float | None:
+             config: DQNConfig, adam: AdamState, rng: np.random.Generator,
+             workspace: Workspace | None = None) -> float | None:
     """One replay-sampled gradient step; no-op (None) while memory is short.
 
     Returns the pre-step batch loss otherwise; a loss that is not finite
-    raises FloatingPointError before the step.
+    raises FloatingPointError before the step.  Every stage runs in
+    ``workspace`` (of ``config.batch_size`` rows), or in a fresh one.
     """
     if len(memory) < max(config.batch_size, config.min_replay):
         return None
-    batch = memory.sample(config.batch_size, rng)
-    targets = compute_targets(batch, target_net, config.gamma)
-    loss, grad = mse_loss_and_grad(policy_net, batch.states, batch.actions, targets)
+    ws = Workspace(policy_net, config.batch_size) if workspace is None else workspace
+    batch = memory.sample(config.batch_size, rng, ws)
+    targets = compute_targets(batch, target_net, config.gamma, ws)
+    loss, grad = mse_loss_and_grad(policy_net, batch.states, batch.actions, targets, ws)
     if not math.isfinite(loss):
         raise FloatingPointError(f"TD loss is {loss}")
-    adam_step(policy_net, adam, grad)
+    adam_step(policy_net, adam, grad, ws)
     return loss
 
 
 def select_action_greedy(net: QNetwork, observation: np.ndarray) -> int:
     """argmax over Q-values; ties break to the lowest index."""
-    return int(np.argmax(net.forward(observation)))
+    return int(net.forward(observation).argmax())
 
 
 def select_action_epsilon_greedy(net: QNetwork, observation: np.ndarray,
@@ -162,7 +181,8 @@ def update_target(policy_net: QNetwork, target_net: QNetwork) -> None:
 
 
 class DQNAgent:
-    """Policy net, frozen-ish target net, replay memory and optimizer state.
+    """Policy net, frozen-ish target net, replay memory, optimizer state
+    and the workspace every gradient step runs in.
 
     The agent owns its own rng for replay sampling so that exploration
     draws elsewhere never shift which batches get sampled.
@@ -182,13 +202,14 @@ class DQNAgent:
             beta2=config.adam_beta2,
             epsilon=config.adam_epsilon,
         )
+        self.workspace = Workspace(self.policy_net, config.batch_size)
 
     def observe(self, transition: Transition) -> None:
         self.memory.push(transition)
 
     def learn(self) -> float | None:
         return optimize(self.policy_net, self.target_net, self.memory,
-                        self.config, self.adam, self.rng)
+                        self.config, self.adam, self.rng, self.workspace)
 
     def sync_target(self) -> None:
         update_target(self.policy_net, self.target_net)

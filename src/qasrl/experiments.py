@@ -18,7 +18,7 @@ import numpy as np
 
 from .dqn import DQNConfig
 from .env import CircuitEnv, EnvConfig
-from .network import QNetwork, load_policy, save_policy, write_file  # load_policy: perfbench traces it here
+from .network import QNetwork, file_error, load_policy, save_policy, write_file  # load_policy: perfbench traces it here
 from .ppr import PolicyLibrary, PPRConfig, RunRow, ppr_run, load_library, save_library
 from .quantum import GateKind, NoiseSpec
 
@@ -108,7 +108,7 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         fields_by_name = {f.name: f for f in dataclasses.fields(cls)}
-        values = {}
+        values, line_of = {}, {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -120,6 +120,9 @@ class ExperimentConfig:
             raw = raw.strip()
             if key not in fields_by_name:
                 raise ValueError(f"unknown config key {key!r}")
+            if key in line_of:
+                raise ValueError(f"config line {lineno} ({key}): key already given on line {line_of[key]}")
+            line_of[key] = lineno
             try:
                 values[key] = _parse_value(raw, fields_by_name[key].type)
             except ValueError as exc:
@@ -128,7 +131,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        return cls.from_text(Path(path).read_text())
+        """from_text on a file's content; a malformed one raises a ValueError naming the file."""
+        try:
+            return cls.from_text(Path(path).read_text())
+        except ValueError as exc:
+            raise file_error(path, exc) from None
 
     def gate_errors(self) -> dict[GateKind, float]:
         """The ``error_*`` overrides that are set, by gate kind."""
@@ -226,6 +233,8 @@ class RunLog:
         first (leaving 2**24 episodes of headroom); smaller scores, those
         of every real run, are summed as they are.
         """
+        if window < 1:
+            raise ValueError(f"window must be at least 1, got {window}")
         scores = self.scores()
         _, exponent = np.frexp(np.abs(scores).max(initial=0.0))
         shift = max(int(exponent) - 1000, 0)

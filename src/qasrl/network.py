@@ -48,8 +48,10 @@ class QNetwork:
     def output_dim(self) -> int:
         return self.layer_sizes[-1]
 
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        """Q-values for one observation (1-D) or a batch (2-D)."""
+    def forward(self, inputs: np.ndarray, workspace: "Workspace | None" = None) -> np.ndarray:
+        """Q-values for one observation (1-D) or a batch (2-D).  With a
+        workspace each layer writes into its buffer's leading rows, and the
+        result is a view of ``workspace.out``; without one, into new arrays."""
         x = np.asarray(inputs, dtype=float)
         single = x.ndim == 1
         h = x.reshape(1, -1) if single else x
@@ -57,23 +59,63 @@ class QNetwork:
             raise ValueError(
                 f"input shape {x.shape} does not match network input {self.layer_sizes[0]}"
             )
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = h @ w
+        rows = len(h)
+        outs = ([None] * len(self.weights) if workspace is None
+                else [buffer[:rows] for buffer in (*workspace.hidden, workspace.out)])
+        for w, b, buffer in zip(self.weights[:-1], self.biases[:-1], outs):
+            h = np.matmul(h, w, out=buffer)
             h += b
             np.maximum(h, 0.0, out=h)
-        out = h @ self.weights[-1]
+        out = np.matmul(h, self.weights[-1], out=outs[-1])
         out += self.biases[-1]
         return out[0] if single else out
 
 
-def mse_loss_and_grad(net: QNetwork, inputs: np.ndarray, actions: np.ndarray, targets: np.ndarray):
+class Workspace:
+    """Every buffer of one learner step for ``net``'s architecture on
+    batches of up to ``rows`` rows, allocated once.
+
+    The target pass finishes before the policy pass starts, so both write
+    their activations into the same per-layer buffers, through row slices.
+    The gradient and Adam's scratch are laid out like ``net.params``.
+    """
+
+    def __init__(self, net: QNetwork, rows: int):
+        width, hidden, n_out = net.layer_sizes[0], net.layer_sizes[1:-1], net.layer_sizes[-1]
+        # The sampled replay batch, in dqn.Batch order: states, actions, rewards, next_states, live.
+        self.batch = (np.empty((rows, width)), np.empty(rows, dtype=int), np.empty(rows),
+                      np.empty((rows, width)), np.empty(rows, dtype=bool))
+        self.live_inputs = np.empty((rows, width))
+        self.targets, self.best_next, self.err, self.err_sq = (np.empty(rows) for _ in range(4))
+        self.hidden = [np.empty((rows, n)) for n in hidden]
+        self.masks = [np.empty((rows, n), dtype=bool) for n in hidden]
+        self.out = np.empty((rows, n_out))
+        self.deltas = [np.empty((rows, n)) for n in net.layer_sizes[1:]]
+        self.row_starts = np.arange(rows) * n_out  # flat index of each row's first output
+        self.taken = np.empty(rows, dtype=int)     # flat index of each row's taken action
+        self.grad = np.empty_like(net.params)
+        self.grad_weights, self.grad_biases = net.layer_views(self.grad)
+        self.adam_scratch = np.empty((2, net.params.size))
+        self.adam_scratch_m, self.adam_scratch_v = self.adam_scratch
+        # (2, 1) columns that scale the rows of AdamState.moments: beta, 1 - beta, 1 - beta**t.
+        self.adam_coefficients = np.empty(6)
+        columns = self.adam_coefficients.reshape(3, 2, 1)
+        self.adam_beta, self.adam_one_minus_beta, self.adam_correction = columns
+
+
+def mse_loss_and_grad(net: QNetwork, inputs: np.ndarray, actions: np.ndarray, targets: np.ndarray,
+                      workspace: Workspace | None = None):
     """Mean squared TD error over a batch, with gradients per parameter.
 
     loss = mean over the batch of (Q(s, a) - target)^2, where only the
     taken action's output contributes.  Returns (loss, grad) with grad
     laid out like net.params; net.layer_views(grad) splits it per layer.
+    grad is ``workspace.grad``, so the next call on that workspace
+    overwrites it; without a workspace the call makes a fresh one.
     """
-    x = np.atleast_2d(np.asarray(inputs, dtype=float))
+    x = np.asarray(inputs, dtype=float)
+    if x.ndim < 2:
+        x = x.reshape(1, -1)
     acts_idx = np.asarray(actions, dtype=int)
     tgt = np.asarray(targets, dtype=float)
     batch = x.shape[0]
@@ -81,72 +123,94 @@ def mse_loss_and_grad(net: QNetwork, inputs: np.ndarray, actions: np.ndarray, ta
         raise ValueError("empty batch")
     if acts_idx.shape != (batch,) or tgt.shape != (batch,):
         raise ValueError("inputs, actions and targets must share the batch dimension")
-    if acts_idx.min() < 0 or acts_idx.max() >= net.output_dim:
+    if np.minimum.reduce(acts_idx) < 0 or np.maximum.reduce(acts_idx) >= net.output_dim:
         raise ValueError("action index out of range")
+    ws = Workspace(net, batch) if workspace is None else workspace
 
     # forward in place, keeping each hidden layer's ReLU mask for the backward pass
     activations = [x]
     masks = []
     h = x
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        h = h @ w
+    for w, b, hidden, mask in zip(net.weights[:-1], net.biases[:-1], ws.hidden, ws.masks):
+        h = np.matmul(h, w, out=hidden[:batch])
         h += b
-        masks.append(h > 0)
+        masks.append(np.greater(h, 0.0, out=mask[:batch]))
         np.maximum(h, 0.0, out=h)
         activations.append(h)
-    out = h @ net.weights[-1]
+    out = np.matmul(h, net.weights[-1], out=ws.out[:batch])
     out += net.biases[-1]
 
-    rows = np.arange(batch)
-    err = out[rows, acts_idx]
+    # Flat indices of the taken actions; in range by the check above, so
+    # take and put need not buffer their output against an index error.
+    taken = np.add(ws.row_starts[:batch], acts_idx, out=ws.taken[:batch])
+    err = out.take(taken, None, ws.err[:batch], "clip")
     err -= tgt
-    loss = float(np.add.reduce(err * err)) / batch  # np.mean's sum, then divide
+    err_sq = np.multiply(err, err, out=ws.err_sq[:batch])
+    loss = float(np.add.reduce(err_sq)) / batch  # np.mean's sum, then divide
 
     err *= 2.0
     err /= batch
-    delta = np.zeros_like(out)
-    delta[rows, acts_idx] = err
-    grad = np.empty_like(net.params)
-    dws, dbs = net.layer_views(grad)
+    delta = ws.deltas[-1][:batch]
+    delta.fill(0.0)
+    delta.put(taken, err, "clip")
     for layer in range(len(net.weights) - 1, -1, -1):
-        np.matmul(activations[layer].T, delta, out=dws[layer])
-        np.add.reduce(delta, axis=0, out=dbs[layer])
+        np.matmul(activations[layer].T, delta, out=ws.grad_weights[layer])
+        np.add.reduce(delta, axis=0, out=ws.grad_biases[layer])
         if layer > 0:
-            delta = delta @ net.weights[layer].T
+            delta = np.matmul(delta, net.weights[layer].T, out=ws.deltas[layer - 1][:batch])
             delta *= masks[layer - 1]
-    return loss, grad
+    return loss, ws.grad
 
 
 @dataclass
 class AdamState:
-    """First/second moment vectors, laid out like QNetwork.params, and the step counter."""
+    """Both Adam moments as the rows of one (2, P) array, each row laid out
+    like QNetwork.params, and the step counter."""
 
     learning_rate: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     t: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
+    moments: np.ndarray | None = None
+
+    @property
+    def m(self) -> np.ndarray:
+        return self.moments[0]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.moments[1]
 
     @classmethod
     def for_network(cls, net: QNetwork, learning_rate: float = 0.001,
                     beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
-        return cls(learning_rate, beta1, beta2, epsilon,
-                   m=np.zeros_like(net.params), v=np.zeros_like(net.params))
+        return cls(learning_rate, beta1, beta2, epsilon, moments=np.zeros((2, net.params.size)))
 
 
-def adam_step(net: QNetwork, state: AdamState, grad: np.ndarray) -> None:
-    """One bias-corrected Adam update of net.params by a like-shaped grad, in place."""
+def adam_step(net: QNetwork, state: AdamState, grad: np.ndarray, workspace: Workspace | None = None) -> None:
+    """One bias-corrected Adam update of net.params by a like-shaped grad, in place.
+
+    m and v are updated together, each by its own beta from a column of
+    coefficients; every element gets the ops of the textbook formula in
+    the same order.  Without a workspace the call makes a fresh one.
+    """
+    ws = Workspace(net, 1) if workspace is None else workspace
     state.t += 1
-    corr1 = 1.0 - state.beta1**state.t
-    corr2 = 1.0 - state.beta2**state.t
-    m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grad
-    v *= state.beta2
-    v += (1.0 - state.beta2) * grad * grad
-    net.params -= state.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + state.epsilon)
+    ws.adam_coefficients[:] = (state.beta1, state.beta2, 1.0 - state.beta1, 1.0 - state.beta2,
+                               1.0 - state.beta1**state.t, 1.0 - state.beta2**state.t)
+    moments, scratch = state.moments, ws.adam_scratch
+    scratch_m, scratch_v = ws.adam_scratch_m, ws.adam_scratch_v
+    moments *= ws.adam_beta                                 # m * b1          | v * b2
+    np.multiply(ws.adam_one_minus_beta, grad, out=scratch)  # (1 - b1) * g    | (1 - b2) * g
+    scratch_v *= grad                                       #                 | (1 - b2) * g * g
+    moments += scratch
+    np.divide(moments, ws.adam_correction, out=scratch)     # m / corr1       | v / corr2
+    scratch_m *= state.learning_rate                        # lr * m / corr1  |
+    np.sqrt(scratch_v, out=scratch_v)
+    scratch_v += state.epsilon                              #                 | sqrt(v / corr2) + eps
+    scratch_m /= scratch_v
+    net.params -= scratch_m
 
 
 def clone_parameters(net: QNetwork) -> QNetwork:

@@ -283,6 +283,9 @@ def load_library(directory) -> PolicyLibrary:
         if manifest.get("format_version") != LIBRARY_FORMAT_VERSION:
             raise ValueError(f"unsupported library format {manifest.get('format_version')!r}")
         entries = [(entry["file"], entry["tag"]) for entry in manifest["policies"]]
+        for filename, _ in entries:
+            if filename in ("", ".", "..") or Path(filename).name != filename:
+                raise ValueError(f"policy file {filename!r} is not a file name inside {directory}")
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise file_error(manifest_path, exc) from None
     library = PolicyLibrary()

@@ -364,6 +364,40 @@ class TestAgent:
         x = np.ones(6)
         np.testing.assert_array_equal(agent.policy_net.forward(x), agent.target_net.forward(x))
 
+    def test_steps_in_one_workspace_match_fresh_buffers(self):
+        """200 learn steps in the agent's one workspace give the same losses,
+        parameters, moments and replay draws, bit for bit, as the same
+        optimize steps with every buffer allocated anew."""
+        def filled_agent():
+            agent, data = DQNAgent(6, 12, DQNConfig(), np.random.default_rng(5)), np.random.default_rng(6)
+            for _ in range(300):
+                agent.observe(random_transition(data))
+            return agent, data
+
+        reused, data = filled_agent()
+        fresh, _ = filled_agent()
+        for step in range(200):
+            transition = random_transition(data)
+            reused.observe(transition)
+            fresh.observe(transition)
+            loss = reused.learn()
+            assert loss == optimize(fresh.policy_net, fresh.target_net, fresh.memory,
+                                    fresh.config, fresh.adam, fresh.rng)
+            if step % 10 == 9:
+                reused.sync_target()
+                fresh.sync_target()
+        assert reused.adam.t == fresh.adam.t == 200
+        assert reused.policy_net.params.tobytes() == fresh.policy_net.params.tobytes()
+        assert reused.adam.moments.tobytes() == fresh.adam.moments.tobytes()
+        assert reused.rng.random() == fresh.rng.random()
+
+
+def random_transition(rng: np.random.Generator) -> Transition:
+    """A transition with uniform states, one in three terminal."""
+    terminal = rng.random() < 1 / 3
+    return Transition(rng.uniform(-1, 1, 6), int(rng.integers(12)), float(rng.normal()),
+                      None if terminal else rng.uniform(-1, 1, 6))
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs, field", [

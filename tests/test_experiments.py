@@ -3,6 +3,7 @@ artifacts, determinism, curriculum resume, the PNG score plot, and the
 CLI entry point."""
 
 import os
+import re
 import shutil
 import struct
 import zlib
@@ -120,6 +121,21 @@ class TestExperimentConfig:
     def test_parse_error_names_line_and_key(self, text, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_text(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("seed = abc\n", r"config line 1 \(seed\): invalid literal for int\(\)"),
+        ("foo = 1\n", r"unknown config key 'foo'$"),
+        ("seed\n", r"config line 1 is not key = value"),
+    ], ids=["value", "unknown_key", "not_key_value"])
+    def test_file_errors_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            ExperimentConfig.from_file(path)
+
+    def test_key_given_twice_names_both_lines(self):
+        with pytest.raises(ValueError, match=r"^config line 3 \(seed\): key already given on line 1$"):
+            ExperimentConfig.from_text("seed = 1\nepisodes = 5\nseed = 2\n")
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
@@ -408,6 +424,14 @@ class TestCurriculum:
             run_curriculum(seed=seed, output_dir=out, episodes=episodes, resume=True)
         assert tree_bytes(out) == before
 
+    def test_resume_names_a_damaged_stage_config(self, tmp_path):
+        out = tmp_path / "cur"
+        run_curriculum(seed=3, output_dir=out, episodes=4)
+        config_path = out / "env2" / "config.txt"
+        config_path.write_text(config_path.read_text().replace("seed = 3002", "seed = x"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(config_path))}: config line \\d+ \\(seed\\): "):
+            run_curriculum(seed=3, output_dir=out, episodes=4, resume=True)
+
     def test_resume_in_a_moved_directory(self, tmp_path):
         run_curriculum(seed=3, output_dir=tmp_path / "a", episodes=4)
         shutil.move(tmp_path / "a", tmp_path / "b")
@@ -469,6 +493,14 @@ class TestCli:
         code = main(["run", "--config", str(tmp_path / "config.txt")])
         assert code == 0
         assert (tmp_path / "run" / "runlog.csv").exists()
+
+    def test_bad_config_file_is_one_line_error_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("seed = abc\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: config line 1 (seed): invalid literal for int() with base 10: 'abc'\n")
+        assert not (tmp_path / "run").exists()
 
     def test_negative_error_override_is_one_line_error(self, tmp_path, capsys):
         tiny_config(tmp_path, env_id=1, error_x=-0.5).to_file(tmp_path / "config.txt")

@@ -9,6 +9,7 @@ from qasrl.dqn import Batch, compute_targets
 from qasrl.network import (
     AdamState,
     QNetwork,
+    Workspace,
     adam_step,
     clone_parameters,
     load_policy,
@@ -392,6 +393,14 @@ def plain_loss_and_grad(net: QNetwork, x, actions, targets):
     return loss, np.concatenate(pieces)
 
 
+def plain_targets(net: QNetwork, batch: Batch, gamma: float) -> np.ndarray:
+    """TD targets written with one temporary per op, forwarding only the live rows."""
+    targets = batch.rewards.copy()
+    if batch.live.any():
+        targets[batch.live] += gamma * plain_forward(net, batch.next_states[batch.live]).max(axis=1)
+    return targets
+
+
 def plain_adam(params, m, v, t, grad, lr, b1, b2, eps):
     """One Adam update written with one temporary per op; returns new (params, m, v)."""
     m = m * b1 + (1.0 - b1) * grad
@@ -459,6 +468,55 @@ class TestBitIdenticalToPlainFormulas:
             live[rng.choice(64, size=n_live, replace=False)] = True
             batch = Batch(rng.uniform(-1, 1, size=(64, 6)), rng.integers(12, size=64),
                           rng.normal(size=64), rng.uniform(-1, 1, size=(64, 6)), live)
-            expected = batch.rewards.copy()
-            expected[live] += 0.7 * plain_forward(net, batch.next_states[live]).max(axis=1)
-            assert same_bits(compute_targets(batch, net, 0.7), expected)
+            assert same_bits(compute_targets(batch, net, 0.7), plain_targets(net, batch, 0.7))
+
+    def test_one_workspace_serves_every_batch_size(self):
+        """One workspace per architecture serves target and loss calls of
+        1, 63, 64 and random row counts with 0, 1, all but one or all rows
+        live, in the order optimize makes them, so stale rows of a bigger
+        call are always there; every result equals the plain formulas and
+        a call with fresh buffers."""
+        rng = np.random.default_rng(78)
+        for sizes in self.ARCHITECTURES:
+            net = QNetwork(sizes, rng=rng)
+            net.params[:] += 0.1 * rng.normal(size=net.params.size)
+            workspace = Workspace(net, 64)
+            for trial in range(80):
+                n = self.BATCH_SIZES[trial % 4] or int(rng.integers(2, 65))
+                live = np.zeros(n, dtype=bool)
+                n_live = (0, 1, n - 1, n, int(rng.integers(0, n + 1)))[trial % 5]
+                live[rng.choice(n, size=n_live, replace=False)] = True
+                batch = Batch(rng.uniform(-1, 1, size=(n, sizes[0])), rng.integers(sizes[-1], size=n),
+                              rng.normal(size=n), rng.uniform(-1, 1, size=(n, sizes[0])), live)
+
+                expected = plain_targets(net, batch, 0.7)
+                assert same_bits(compute_targets(batch, net, 0.7), expected)
+                targets = compute_targets(batch, net, 0.7, workspace)
+                assert same_bits(targets, expected)
+
+                plain_loss, plain_grad = plain_loss_and_grad(net, batch.states, batch.actions, expected)
+                fresh_loss, fresh_grad = mse_loss_and_grad(net, batch.states, batch.actions, expected)
+                loss, grad = mse_loss_and_grad(net, batch.states, batch.actions, targets, workspace)
+                assert grad is workspace.grad
+                assert loss == plain_loss == fresh_loss
+                assert same_bits(grad, plain_grad) and same_bits(grad, fresh_grad)
+                assert same_bits(net.forward(batch.states, workspace), plain_forward(net, batch.states))
+
+    def test_stacked_adam_over_500_steps(self):
+        """m and v as the rows of one array, updated together in a reused
+        workspace, follow the plain formulas bit for bit step after step."""
+        rng = np.random.default_rng(79)
+        net = QNetwork([6, 64, 64, 12], rng=rng)
+        state = AdamState.for_network(net, learning_rate=3e-3, beta1=0.8, beta2=0.99)
+        assert state.moments.shape == (2, net.params.size)
+        assert np.shares_memory(state.m, state.moments) and np.shares_memory(state.v, state.moments)
+        workspace = Workspace(net, 64)
+        for step in range(1, 501):
+            grad = rng.normal(size=net.params.size) * 10.0 ** float(rng.integers(-6, 3))
+            grad[rng.random(grad.size) < 0.1] = 0.0
+            expected = plain_adam(net.params, state.m, state.v, step, grad,
+                                  state.learning_rate, state.beta1, state.beta2, state.epsilon)
+            adam_step(net, state, grad, workspace)
+            assert state.t == step
+            for got, want in zip((net.params, state.m, state.v), expected):
+                assert same_bits(got, want)

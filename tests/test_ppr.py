@@ -11,7 +11,7 @@ from conftest import bell_solver_network, constant_output_network, poison_agents
 from qasrl.dqn import DQNAgent, DQNConfig, update_target
 from qasrl.env import CircuitEnv, EnvConfig
 from qasrl.experiments import build_environment
-from qasrl.network import QNetwork
+from qasrl.network import QNetwork, save_policy
 from qasrl.ppr import (
     ExplorationParams,
     PolicyLibrary,
@@ -203,6 +203,22 @@ class TestPolicyLibrary:
         (tmp_path / "manifest.json").write_text(manifest)
         with pytest.raises(ValueError, match="manifest\\.json: "):
             load_library(tmp_path)
+
+    @pytest.mark.parametrize("where", ["parent", "absolute", "subdirectory", "directory_itself"])
+    def test_policy_file_outside_the_library_is_rejected(self, tmp_path, where):
+        """Each named file exists and holds a valid snapshot, but only plain
+        file names inside the library directory may be loaded."""
+        library = PolicyLibrary()
+        library.append(QNetwork([6, 8, 12]), "env-0")
+        save_library(library, tmp_path / "lib")
+        save_policy(QNetwork([6, 8, 12]), tmp_path / "outside.qnet")
+        save_policy(QNetwork([6, 8, 12]), tmp_path / "lib" / "sub" / "inner.qnet")
+        name = {"parent": "../outside.qnet", "absolute": str(tmp_path / "outside.qnet"),
+                "subdirectory": "sub/inner.qnet", "directory_itself": "."}[where]
+        manifest = {"format_version": 1, "policies": [{"file": name, "tag": "env-0"}]}
+        (tmp_path / "lib" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=r"manifest\.json: policy file .* is not a file name inside "):
+            load_library(tmp_path / "lib")
 
 
 def solver_agent(env: CircuitEnv, seed: int = 0, **config_kwargs) -> DQNAgent:

@@ -56,6 +56,18 @@ def test_rolling_mean_of_consecutive_1e308_scores_is_finite():
     np.testing.assert_allclose(rolling, [1e308, 1e308, 1e308 / 3 * 2], rtol=1e-15)
 
 
+@pytest.mark.parametrize("window", [0, -3])
+def test_window_below_one_is_rejected(tmp_path, window):
+    log = score_log([0.5, 0.25, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"window must be at least 1, got {window}"):
+            log.rolling_mean(window)
+        with pytest.raises(ValueError, match="window"):
+            emit_plot(log, tmp_path / "plot.png", window=window)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rolling_mean_of_run_scores_is_unchanged():
     # scores of a real run lie in [-1.2, 1]; the prefix-sum formula on them
     # is what the mean was before the overflow guard
