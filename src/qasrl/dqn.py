@@ -90,7 +90,6 @@ class DQNConfig:
     learning_rate: float = 0.001
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     hidden_sizes: tuple[int, ...] = (64, 64)
     epsilon_start: float = 1.0
     epsilon_decay: float = 0.99
@@ -144,8 +143,8 @@ def optimize(policy_net: QNetwork, target_net: QNetwork, memory: ReplayMemory,
     """One replay-sampled gradient step; no-op (None) while memory is short.
 
     Returns the pre-step batch loss otherwise; a loss that is not finite
-    raises FloatingPointError before the step.  Every stage runs in
-    ``workspace`` (of ``config.batch_size`` rows), or in a fresh one.
+    raises FloatingPointError before the step.  Every stage but Adam's
+    runs in ``workspace`` (of ``config.batch_size`` rows), or in a fresh one.
     """
     if len(memory) < max(config.batch_size, config.min_replay):
         return None
@@ -155,7 +154,7 @@ def optimize(policy_net: QNetwork, target_net: QNetwork, memory: ReplayMemory,
     loss, grad = mse_loss_and_grad(policy_net, batch.states, batch.actions, targets, ws)
     if not math.isfinite(loss):
         raise FloatingPointError(f"TD loss is {loss}")
-    adam_step(policy_net, adam, grad, ws)
+    adam_step(policy_net, adam, grad)
     return loss
 
 
@@ -195,13 +194,8 @@ class DQNAgent:
         self.policy_net = QNetwork(sizes, rng=rng)
         self.target_net = clone_parameters(self.policy_net)
         self.memory = ReplayMemory(config.replay_capacity)
-        self.adam = AdamState.for_network(
-            self.policy_net,
-            learning_rate=config.learning_rate,
-            beta1=config.adam_beta1,
-            beta2=config.adam_beta2,
-            epsilon=config.adam_epsilon,
-        )
+        self.adam = AdamState.for_network(self.policy_net, learning_rate=config.learning_rate,
+                                          beta1=config.adam_beta1, beta2=config.adam_beta2)
         self.workspace = Workspace(self.policy_net, config.batch_size)
 
     def observe(self, transition: Transition) -> None:

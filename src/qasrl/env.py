@@ -54,7 +54,6 @@ def enumerate_actions(n_qubits: int) -> tuple[GateAction, ...]:
 
 @dataclass(frozen=True)
 class EnvConfig:
-    n_qubits: int = 2
     target: TargetState = field(default_factory=bell_state)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     fidelity_threshold: float = 0.95
@@ -62,16 +61,16 @@ class EnvConfig:
     step_penalty: float = 0.01
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"need at least one qubit, got {self.n_qubits}")
-        if self.target.n_qubits != self.n_qubits:
-            raise ValueError("target qubit count does not match the environment")
         if not 0.0 < self.fidelity_threshold <= 1.0:
             raise ValueError(f"fidelity threshold out of (0, 1]: {self.fidelity_threshold}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be positive, got {self.max_steps}")
         if not math.isfinite(self.step_penalty):
             raise ValueError(f"step_penalty must be finite, got {self.step_penalty}")
+
+    @property
+    def n_qubits(self) -> int:
+        return self.target.n_qubits
 
 
 class StepResult(NamedTuple):

@@ -35,17 +35,12 @@ ENVIRONMENT_NOISE: dict[int, dict[GateKind, float]] = {
 MEAS_ERROR = 0.01
 
 
-def build_environment(env_id: int, meas_error: float = MEAS_ERROR,
-                      fidelity_threshold: float = EnvConfig.fidelity_threshold,
-                      max_steps: int = EnvConfig.max_steps,
-                      step_penalty: float = EnvConfig.step_penalty) -> EnvConfig:
-    """EnvConfig for one of the numbered noise settings; qubit count and
-    target are EnvConfig's own, the two-qubit Bell state."""
+def build_environment(env_id: int) -> EnvConfig:
+    """EnvConfig for one of the numbered noise settings, with readout error
+    MEAS_ERROR; everything else is EnvConfig's own, the Bell target included."""
     if env_id not in ENVIRONMENT_NOISE:
         raise ValueError(f"unknown environment id {env_id}; choose 0..{len(ENVIRONMENT_NOISE) - 1}")
-    noise = NoiseSpec(gate_error=dict(ENVIRONMENT_NOISE[env_id]), meas_error=meas_error)
-    return EnvConfig(noise=noise, fidelity_threshold=fidelity_threshold,
-                     max_steps=max_steps, step_penalty=step_penalty)
+    return EnvConfig(noise=NoiseSpec(gate_error=dict(ENVIRONMENT_NOISE[env_id]), meas_error=MEAS_ERROR))
 
 
 @dataclass
@@ -95,6 +90,10 @@ class ExperimentConfig:
     follow_prob: float = PPRConfig.follow_prob
     follow_decay: float = PPRConfig.follow_decay
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
+
     def to_text(self) -> str:
         lines = []
         for f in dataclasses.fields(self):
@@ -143,11 +142,11 @@ class ExperimentConfig:
         return {kind: p for kind, p in errors.items() if p is not None}
 
     def env_config(self) -> EnvConfig:
-        """The numbered environment with the ``error_*`` overrides laid over its noise table."""
-        env = build_environment(self.env_id, self.meas_error, self.fidelity_threshold,
-                                self.max_steps, self.step_penalty)
-        noise = dataclasses.replace(env.noise, gate_error={**env.noise.gate_error, **self.gate_errors()})
-        return dataclasses.replace(env, noise=noise)
+        """The numbered environment with this config's environment fields laid
+        over it, and its ``error_*`` overrides over its noise table."""
+        env = build_environment(self.env_id)
+        noise = NoiseSpec({**env.noise.gate_error, **self.gate_errors()}, self.meas_error)
+        return dataclasses.replace(env, noise=noise, **self._shared_with(EnvConfig))
 
     def ppr_config(self) -> PPRConfig:
         if self.mode not in ("from_scratch", "ppr"):
@@ -278,6 +277,8 @@ def run_curriculum(seed: int, output_dir, episodes: int = 1000,
     held in memory.  With ``resume=True``, stages in the saved library
     are skipped once their config.txt shows this seed and episode count.
     """
+    if seed < 0:
+        raise ValueError(f"seed must not be negative, got {seed}")
     out = Path(output_dir)
     library_dir = out / "library"
     resumed = resume and (library_dir / "manifest.json").exists()

@@ -72,12 +72,12 @@ class QNetwork:
 
 
 class Workspace:
-    """Every buffer of one learner step for ``net``'s architecture on
-    batches of up to ``rows`` rows, allocated once.
+    """Every buffer of one learner step but Adam's, for ``net``'s
+    architecture on batches of up to ``rows`` rows, allocated once.
 
     The target pass finishes before the policy pass starts, so both write
     their activations into the same per-layer buffers, through row slices.
-    The gradient and Adam's scratch are laid out like ``net.params``.
+    The gradient is laid out like ``net.params``.
     """
 
     def __init__(self, net: QNetwork, rows: int):
@@ -95,12 +95,6 @@ class Workspace:
         self.taken = np.empty(rows, dtype=int)     # flat index of each row's taken action
         self.grad = np.empty_like(net.params)
         self.grad_weights, self.grad_biases = net.layer_views(self.grad)
-        self.adam_scratch = np.empty((2, net.params.size))
-        self.adam_scratch_m, self.adam_scratch_v = self.adam_scratch
-        # (2, 1) columns that scale the rows of AdamState.moments: beta, 1 - beta, 1 - beta**t.
-        self.adam_coefficients = np.empty(6)
-        columns = self.adam_coefficients.reshape(3, 2, 1)
-        self.adam_beta, self.adam_one_minus_beta, self.adam_correction = columns
 
 
 def mse_loss_and_grad(net: QNetwork, inputs: np.ndarray, actions: np.ndarray, targets: np.ndarray,
@@ -126,19 +120,7 @@ def mse_loss_and_grad(net: QNetwork, inputs: np.ndarray, actions: np.ndarray, ta
     if np.minimum.reduce(acts_idx) < 0 or np.maximum.reduce(acts_idx) >= net.output_dim:
         raise ValueError("action index out of range")
     ws = Workspace(net, batch) if workspace is None else workspace
-
-    # forward in place, keeping each hidden layer's ReLU mask for the backward pass
-    activations = [x]
-    masks = []
-    h = x
-    for w, b, hidden, mask in zip(net.weights[:-1], net.biases[:-1], ws.hidden, ws.masks):
-        h = np.matmul(h, w, out=hidden[:batch])
-        h += b
-        masks.append(np.greater(h, 0.0, out=mask[:batch]))
-        np.maximum(h, 0.0, out=h)
-        activations.append(h)
-    out = np.matmul(h, net.weights[-1], out=ws.out[:batch])
-    out += net.biases[-1]
+    out = net.forward(x, ws)
 
     # Flat indices of the taken actions; in range by the check above, so
     # take and put need not buffer their output against an index error.
@@ -154,58 +136,60 @@ def mse_loss_and_grad(net: QNetwork, inputs: np.ndarray, actions: np.ndarray, ta
     delta.fill(0.0)
     delta.put(taken, err, "clip")
     for layer in range(len(net.weights) - 1, -1, -1):
-        np.matmul(activations[layer].T, delta, out=ws.grad_weights[layer])
+        h = ws.hidden[layer - 1][:batch] if layer else x  # the layer's input, as forward left it
+        np.matmul(h.T, delta, out=ws.grad_weights[layer])
         np.add.reduce(delta, axis=0, out=ws.grad_biases[layer])
         if layer > 0:
             delta = np.matmul(delta, net.weights[layer].T, out=ws.deltas[layer - 1][:batch])
-            delta *= masks[layer - 1]
+            # The ReLU mask from the activation: relu(z) > 0 exactly where z > 0, zeros and NaN included.
+            delta *= np.greater(h, 0.0, out=ws.masks[layer - 1][:batch])
     return loss, ws.grad
 
 
 @dataclass
 class AdamState:
-    """Both Adam moments as the rows of one (2, P) array, each row laid out
-    like QNetwork.params, and the step counter."""
+    """All of Adam's state for one parameter vector: the hyperparameters,
+    the step count, both moments as the rows of one (2, P) array, each row
+    laid out like QNetwork.params, and the scratch a step works in."""
 
+    moments: np.ndarray
     learning_rate: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     t: int = 0
-    moments: np.ndarray | None = None
 
-    @property
-    def m(self) -> np.ndarray:
-        return self.moments[0]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.moments[1]
+    def __post_init__(self):
+        # Views built once, so a step unpacks nothing: the moments' rows, a
+        # scratch laid out like them, and the (2, 1) columns that scale their
+        # rows: beta, 1 - beta, 1 - beta**t.
+        self.m, self.v = self.moments
+        self.scratch = np.empty_like(self.moments)
+        self.scratch_m, self.scratch_v = self.scratch
+        self.coefficients = np.empty(6)
+        self.beta, self.one_minus_beta, self.correction = self.coefficients.reshape(3, 2, 1)
 
     @classmethod
-    def for_network(cls, net: QNetwork, learning_rate: float = 0.001,
-                    beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
-        return cls(learning_rate, beta1, beta2, epsilon, moments=np.zeros((2, net.params.size)))
+    def for_network(cls, net: QNetwork, **hyperparameters):
+        return cls(np.zeros((2, net.params.size)), **hyperparameters)
 
 
-def adam_step(net: QNetwork, state: AdamState, grad: np.ndarray, workspace: Workspace | None = None) -> None:
+def adam_step(net: QNetwork, state: AdamState, grad: np.ndarray) -> None:
     """One bias-corrected Adam update of net.params by a like-shaped grad, in place.
 
     m and v are updated together, each by its own beta from a column of
     coefficients; every element gets the ops of the textbook formula in
-    the same order.  Without a workspace the call makes a fresh one.
+    the same order.
     """
-    ws = Workspace(net, 1) if workspace is None else workspace
     state.t += 1
-    ws.adam_coefficients[:] = (state.beta1, state.beta2, 1.0 - state.beta1, 1.0 - state.beta2,
-                               1.0 - state.beta1**state.t, 1.0 - state.beta2**state.t)
-    moments, scratch = state.moments, ws.adam_scratch
-    scratch_m, scratch_v = ws.adam_scratch_m, ws.adam_scratch_v
-    moments *= ws.adam_beta                                 # m * b1          | v * b2
-    np.multiply(ws.adam_one_minus_beta, grad, out=scratch)  # (1 - b1) * g    | (1 - b2) * g
+    state.coefficients[:] = (state.beta1, state.beta2, 1.0 - state.beta1, 1.0 - state.beta2,
+                             1.0 - state.beta1**state.t, 1.0 - state.beta2**state.t)
+    moments, scratch, scratch_m, scratch_v = state.moments, state.scratch, state.scratch_m, state.scratch_v
+    moments *= state.beta                                   # m * b1          | v * b2
+    np.multiply(state.one_minus_beta, grad, out=scratch)    # (1 - b1) * g    | (1 - b2) * g
     scratch_v *= grad                                       #                 | (1 - b2) * g * g
     moments += scratch
-    np.divide(moments, ws.adam_correction, out=scratch)     # m / corr1       | v / corr2
+    np.divide(moments, state.correction, out=scratch)       # m / corr1       | v / corr2
     scratch_m *= state.learning_rate                        # lr * m / corr1  |
     np.sqrt(scratch_v, out=scratch_v)
     scratch_v += state.epsilon                              #                 | sqrt(v / corr2) + eps

@@ -61,13 +61,8 @@ class ReuseStats:
     episodes_done: int = 0
 
     @classmethod
-    def fresh(cls, n_slots: int, temperature_init: float = 0.0, temperature_step: float = 0.01):
-        return cls(
-            mean_scores=np.zeros(n_slots),
-            selection_counts=np.zeros(n_slots, dtype=int),
-            temperature_init=temperature_init,
-            temperature_step=temperature_step,
-        )
+    def fresh(cls, n_slots: int, **ramp):
+        return cls(np.zeros(n_slots), np.zeros(n_slots, dtype=int), **ramp)
 
     @property
     def n_slots(self) -> int:
@@ -184,10 +179,10 @@ class PPRConfig:
     """Run-level knobs; defaults reproduce the experiment setup."""
 
     episodes: int = 1000
-    temperature_init: float = 0.0
-    temperature_step: float = 0.01
-    follow_prob: float = 1.0
-    follow_decay: float = 0.95
+    temperature_init: float = ReuseStats.temperature_init
+    temperature_step: float = ReuseStats.temperature_step
+    follow_prob: float = ExplorationParams.follow_prob
+    follow_decay: float = ExplorationParams.follow_decay
     use_epsilon_greedy: bool = False
     dqn: DQNConfig = field(default_factory=DQNConfig)
 
@@ -229,12 +224,20 @@ def ppr_run(env: CircuitEnv, library: PolicyLibrary, config: PPRConfig,
     With an empty library every episode is plain q-learning; pass
     ``use_epsilon_greedy=True`` for the from-scratch baseline.  The
     returned log has one row per episode, and the reuse stats are this
-    run's own, one slot per library policy plus slot 0.  A TD loss that
-    is not finite raises FloatingPointError naming the episode.
+    run's own, one slot per library policy plus slot 0.  A library policy
+    whose input or output width differs from the environment's raises
+    ValueError before the first episode; a TD loss that is not finite
+    raises FloatingPointError naming the episode.
     """
+    for slot, tag in enumerate(library.tags, start=1):
+        sizes = library.policy(slot).layer_sizes
+        if (sizes[0], sizes[-1]) != (env.observation_dim, env.n_actions):
+            raise ValueError(f"library policy {tag!r} maps {sizes[0]} inputs to {sizes[-1]} actions, but the "
+                             f"environment has {env.observation_dim} inputs and {env.n_actions} actions")
     agent_rng, behavior_rng = rng.spawn(2)
     agent = DQNAgent(env.observation_dim, env.n_actions, config.dqn, agent_rng)
-    stats = ReuseStats.fresh(library.n_slots, config.temperature_init, config.temperature_step)
+    stats = ReuseStats.fresh(library.n_slots, temperature_init=config.temperature_init,
+                             temperature_step=config.temperature_step)
     exploration = ExplorationParams(config.follow_prob, config.follow_decay)
     epsilon = config.dqn.epsilon_start if config.use_epsilon_greedy else 0.0
     log: list[RunRow] = []

@@ -169,30 +169,29 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class TargetState:
-    """A pure reference state: its unit-norm amplitude vector and Pauli coordinates."""
+    """A pure reference state on at least one qubit: its unit-norm
+    amplitude vector, qubit count and Pauli coordinates."""
 
     amplitudes: np.ndarray
+    n_qubits: int = field(init=False, compare=False)
     pauli: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vec = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        n = int(np.log2(len(vec)))
-        if 2**n != len(vec):
-            raise ValueError(f"amplitude length {len(vec)} is not a power of two")
+        n = len(vec).bit_length() - 1
+        if n < 1 or 2**n != len(vec):
+            raise ValueError(f"amplitude length {len(vec)} is not a power of two of at least 2")
         if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
             raise ValueError("target state is not normalized")
         vec.setflags(write=False)
         object.__setattr__(self, "amplitudes", vec)
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "pauli", DensityMatrix(n, np.outer(vec, vec.conj())).pauli.real)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TargetState):
             return NotImplemented
         return np.array_equal(self.amplitudes, other.amplitudes)
-
-    @property
-    def n_qubits(self) -> int:
-        return int(np.log2(len(self.amplitudes)))
 
 
 def bell_state() -> TargetState:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qasrl.env import CircuitEnv, EnvConfig, enumerate_actions
-from qasrl.quantum import GateAction, GateKind, NoiseSpec, TargetState, bell_state
+from qasrl.quantum import GateAction, GateKind, NoiseSpec, TargetState
 
 H0 = 4  # Hadamard on qubit 0
 CNOT01 = 10
@@ -190,13 +190,9 @@ class TestEnvConfig:
         with pytest.raises(ValueError, match="step_penalty"):
             EnvConfig(step_penalty=penalty)
 
-    def test_target_size_must_match(self):
-        with pytest.raises(ValueError):
-            EnvConfig(n_qubits=1, target=bell_state())
-
     def test_custom_target(self):
         plus = TargetState(np.array([1, 1], dtype=complex) / np.sqrt(2))
-        env = CircuitEnv(EnvConfig(n_qubits=1, target=plus, fidelity_threshold=0.9))
+        env = CircuitEnv(EnvConfig(target=plus, fidelity_threshold=0.9))
         env.reset()
         result = env.step(GateAction(GateKind.HADAMARD, target=0))
         assert result.done

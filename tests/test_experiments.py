@@ -542,6 +542,20 @@ class TestCli:
         assert err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("argv, names_file", [
+        (["run", "--env", "0", "--seed", "-1"], False),
+        (["curriculum", "--seed", "-1", "--episodes", "2"], False),
+        (["run", "--config"], True),
+    ], ids=["run", "curriculum", "config_file"])
+    def test_negative_seed_is_one_line_error(self, tmp_path, capsys, argv, names_file):
+        config = tmp_path / "config.txt"
+        config.write_text("seed = -1\n")
+        code = main([*argv, *([str(config)] if names_file else []), "--out", str(tmp_path / "out")])
+        assert code == 1
+        prefix = f"{config}: " if names_file else ""
+        assert capsys.readouterr().err == f"error: {prefix}seed must not be negative, got -1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_env_returns_error(self, tmp_path, capsys):
         code = main(["run", "--env", "9", "--out", str(tmp_path / "run")])
         assert code == 1

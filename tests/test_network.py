@@ -253,6 +253,23 @@ class TestAdam:
         for p, q in zip(flatten_net(net), before):
             np.testing.assert_array_equal(p, q)
 
+    def test_two_states_in_alternation_match_each_alone(self):
+        """Each AdamState owns its scratch: two stepping two networks of one
+        architecture in turn give the same bytes as each stepping alone."""
+        rng = np.random.default_rng(16)
+        size = QNetwork([6, 64, 64, 12]).params.size
+        grads = rng.normal(size=(2, 30, size))
+
+        def train(order):
+            nets = [QNetwork([6, 64, 64, 12], rng=np.random.default_rng(seed)) for seed in (0, 1)]
+            states = [AdamState.for_network(net, learning_rate=3e-3) for net in nets]
+            for which, step in order:
+                adam_step(nets[which], states[which], grads[which, step])
+            return [net.params.tobytes() + state.moments.tobytes() for net, state in zip(nets, states)]
+
+        alone = train([(which, step) for which in (0, 1) for step in range(30)])
+        assert train([(which, step) for step in range(30) for which in (0, 1)]) == alone
+
 
 class TestCloneAndSnapshot:
     def test_clone_matches_and_is_independent(self):
@@ -413,8 +430,8 @@ class TestBitIdenticalToPlainFormulas:
     """The learner computes in place, and must give the same bits as the
     plain formulas above: forward outputs, loss, gradient and the
     parameters after Adam, on batches of 1 to 64 rows, rows whose hidden
-    units are all dead, pre-activations of exactly zero, and the live
-    subsets of 1 and 63 rows that compute_targets forwards."""
+    units are all dead, pre-activations of exactly 0 and -0.0, and the
+    live subsets of 1 and 63 rows that compute_targets forwards."""
 
     ARCHITECTURES = ([6, 64, 64, 12], [6, 16, 12], [4, 8, 8, 8, 3])
     BATCH_SIZES = (1, 63, 64, None)  # None: a random size in 2..64
@@ -457,6 +474,34 @@ class TestBitIdenticalToPlainFormulas:
             for got, want in zip((net.params, state.m, state.v), expected):
                 assert same_bits(got, want)
         assert dead_rows > 1000
+
+    def test_pre_activations_of_zero_and_negative_zero(self):
+        """The backward pass takes each ReLU mask from the activation, which
+        could differ from the pre-activation's only at 0 and -0.0.  Rows of
+        zeros make first-layer pre-activations of exactly 0; rows of 1e-200
+        against weights of -1e-200 and biases of -0.0 make them -0.0 where
+        the BLAS kernel fuses multiply and add (the product underflows in
+        the sum), and 0 where it does not."""
+        rng = np.random.default_rng(80)
+        net = QNetwork([6, 64, 64, 12], rng=rng)
+        net.params[:] += 0.1 * rng.normal(size=net.params.size)
+        net.weights[0][:, :32] = -1e-200 * rng.uniform(1.0, 2.0, size=(6, 32))
+        net.biases[0][:32] = -0.0
+        net.biases[0][32:48] = 0.0
+        x = rng.uniform(-1.0, 1.0, size=(64, 6))
+        x[:20] = 0.0
+        x[20:40] = 1e-200 * rng.uniform(1.0, 2.0, size=(20, 6))
+        actions, targets = rng.integers(12, size=64), rng.normal(size=64)
+        pre_activations = x @ net.weights[0] + net.biases[0]
+        assert (pre_activations == 0.0).sum() >= 20 * 48
+
+        assert same_bits(net.forward(x), plain_forward(net, x))
+        loss, grad = mse_loss_and_grad(net, x, actions, targets)
+        plain_loss, plain_grad = plain_loss_and_grad(net, x, actions, targets)
+        assert loss == plain_loss
+        assert same_bits(grad, plain_grad)
+        edges = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324])
+        assert np.array_equal(np.maximum(edges, 0.0) > 0.0, edges > 0.0)
 
     @pytest.mark.parametrize("n_live", [1, 63, 64])
     def test_targets_over_live_subsets(self, n_live):
@@ -503,20 +548,20 @@ class TestBitIdenticalToPlainFormulas:
                 assert same_bits(net.forward(batch.states, workspace), plain_forward(net, batch.states))
 
     def test_stacked_adam_over_500_steps(self):
-        """m and v as the rows of one array, updated together in a reused
-        workspace, follow the plain formulas bit for bit step after step."""
+        """m and v as the rows of one array, updated together in the
+        state's own scratch, follow the plain formulas bit for bit step
+        after step."""
         rng = np.random.default_rng(79)
         net = QNetwork([6, 64, 64, 12], rng=rng)
         state = AdamState.for_network(net, learning_rate=3e-3, beta1=0.8, beta2=0.99)
         assert state.moments.shape == (2, net.params.size)
         assert np.shares_memory(state.m, state.moments) and np.shares_memory(state.v, state.moments)
-        workspace = Workspace(net, 64)
         for step in range(1, 501):
             grad = rng.normal(size=net.params.size) * 10.0 ** float(rng.integers(-6, 3))
             grad[rng.random(grad.size) < 0.1] = 0.0
             expected = plain_adam(net.params, state.m, state.v, step, grad,
                                   state.learning_rate, state.beta1, state.beta2, state.epsilon)
-            adam_step(net, state, grad, workspace)
+            adam_step(net, state, grad)
             assert state.t == step
             for got, want in zip((net.params, state.m, state.v), expected):
                 assert same_bits(got, want)

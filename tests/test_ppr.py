@@ -395,6 +395,19 @@ class TestPprRun:
         assert result.stats.episodes_done == 30
         assert result.stats.selection_counts.sum() == 30
 
+    @pytest.mark.parametrize("sizes", [[6, 8, 5], [7, 8, 12]])
+    def test_library_policy_of_another_width_is_refused(self, sizes):
+        library = PolicyLibrary()
+        library.append(bell_solver_network(), "solver")
+        library.append(QNetwork(sizes), "odd")
+        env = fast_env()
+        message = (f"^library policy 'odd' maps {sizes[0]} inputs to {sizes[-1]} actions, "
+                   "but the environment has 6 inputs and 12 actions$")
+        with pytest.raises(ValueError, match=message):
+            ppr_run(env, library, PPRConfig(episodes=30), np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="no episode yet"):
+            env.episode_record()
+
     def test_episode_numbers_are_one_based_and_complete(self):
         config = PPRConfig(episodes=25, dqn=DQNConfig(hidden_sizes=(8,)))
         result = ppr_run(fast_env(), PolicyLibrary(), config, np.random.default_rng(27))

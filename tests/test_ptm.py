@@ -5,6 +5,7 @@ applies depolarizing noise as the Kraus sum of ``conftest``; it shares
 no code with the transfer matrices of ``qasrl.quantum``.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -41,7 +42,7 @@ def reference_observation(mat: np.ndarray, meas_error: float, n: int) -> np.ndar
 @pytest.mark.parametrize("env_id", sorted(ENVIRONMENT_NOISE))
 def test_random_circuits_match_density_matrix_evolution(env_id):
     # threshold 1.0: circuits run their drawn length unless they make the exact target
-    config = build_environment(env_id, fidelity_threshold=1.0)
+    config = dataclasses.replace(build_environment(env_id), fidelity_threshold=1.0)
     env = CircuitEnv(config)
     noise, psi = config.noise, config.target.amplitudes
     rng = np.random.default_rng(1000 + env_id)

@@ -317,6 +317,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             TargetState(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("length", [0, 1, 3])
+    def test_target_state_needs_at_least_one_qubit(self, length):
+        with pytest.raises(ValueError, match=f"amplitude length {length} is not a power of two of at least 2"):
+            TargetState(np.eye(max(length, 1))[0][:length])
+
+    def test_target_state_stores_its_qubit_count(self):
+        assert bell_state().n_qubits == 2
+        assert TargetState(np.eye(8)[0]).n_qubits == 3
+
     def test_noise_spec_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             NoiseSpec(gate_error={GateKind.PAULI_X: 1.5})
