@@ -87,9 +87,9 @@ class DQNConfig:
     min_replay: int = 64
     replay_capacity: int = 10_000
     target_update_period: int = 10
-    learning_rate: float = 0.001
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
+    learning_rate: float = AdamState.learning_rate
+    adam_beta1: float = AdamState.beta1
+    adam_beta2: float = AdamState.beta2
     hidden_sizes: tuple[int, ...] = (64, 64)
     epsilon_start: float = 1.0
     epsilon_decay: float = 0.99
@@ -197,9 +197,6 @@ class DQNAgent:
         self.adam = AdamState.for_network(self.policy_net, learning_rate=config.learning_rate,
                                           beta1=config.adam_beta1, beta2=config.adam_beta2)
         self.workspace = Workspace(self.policy_net, config.batch_size)
-
-    def observe(self, transition: Transition) -> None:
-        self.memory.push(transition)
 
     def learn(self) -> float | None:
         return optimize(self.policy_net, self.target_net, self.memory,

@@ -78,7 +78,6 @@ class StepResult(NamedTuple):
     reward: float
     done: bool
     fidelity: float
-    steps_taken: int
 
 
 @dataclass(frozen=True)
@@ -122,21 +121,15 @@ class CircuitEnv:
         self._fidelity = fidelity(self._state, self.config.target)
         return pauli_expectations(self._state, self.config.noise)
 
-    def _resolve(self, action) -> GateAction:
-        if isinstance(action, GateAction):
-            return action
-        index = int(action)
-        if not 0 <= index < len(self.actions):
-            raise ValueError(f"action index {index} out of range 0..{len(self.actions) - 1}")
-        return self.actions[index]
-
-    def step(self, action) -> StepResult:
-        """Apply one gate (by GateAction or action index)."""
+    def step(self, action: int) -> StepResult:
+        """Apply the gate at index ``action`` of ``self.actions``."""
         if self._state is None:
             raise RuntimeError("call reset() before step()")
         if self._done:
             raise RuntimeError("episode finished; call reset()")
-        gate = self._resolve(action)
+        if not 0 <= action < len(self.actions):
+            raise ValueError(f"action index {action} out of range 0..{len(self.actions) - 1}")
+        gate = self.actions[action]
         self._state = apply_gate(self._state, gate, self.config.noise)
         self._steps += 1
         self._taken.append(gate)
@@ -152,7 +145,6 @@ class CircuitEnv:
             reward=reward,
             done=self._done,
             fidelity=self._fidelity,
-            steps_taken=self._steps,
         )
 
     def episode_record(self) -> EpisodeRecord:

@@ -93,6 +93,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must not be negative, got {self.seed}")
+        if self.mode not in ("from_scratch", "ppr"):
+            raise ValueError(f"mode must be from_scratch or ppr, got {self.mode!r}")
+        if self.mode == "ppr" and not self.library:
+            raise ValueError("ppr mode needs --library pointing at a policy library")
+        if self.mode == "from_scratch" and self.library:
+            raise ValueError("from_scratch mode does not take a library")
 
     def to_text(self) -> str:
         lines = []
@@ -136,21 +142,15 @@ class ExperimentConfig:
         except ValueError as exc:
             raise file_error(path, exc) from None
 
-    def gate_errors(self) -> dict[GateKind, float]:
-        """The ``error_*`` overrides that are set, by gate kind."""
-        errors = {kind: getattr(self, f"error_{kind.value}") for kind in GateKind}
-        return {kind: p for kind, p in errors.items() if p is not None}
-
     def env_config(self) -> EnvConfig:
         """The numbered environment with this config's environment fields laid
         over it, and its ``error_*`` overrides over its noise table."""
         env = build_environment(self.env_id)
-        noise = NoiseSpec({**env.noise.gate_error, **self.gate_errors()}, self.meas_error)
+        overrides = {kind: p for kind in GateKind if (p := getattr(self, f"error_{kind.value}")) is not None}
+        noise = NoiseSpec({**env.noise.gate_error, **overrides}, self.meas_error)
         return dataclasses.replace(env, noise=noise, **self._shared_with(EnvConfig))
 
     def ppr_config(self) -> PPRConfig:
-        if self.mode not in ("from_scratch", "ppr"):
-            raise ValueError(f"mode must be from_scratch or ppr, got {self.mode!r}")
         dqn = DQNConfig(hidden_sizes=(self.hidden1, self.hidden2), **self._shared_with(DQNConfig))
         return PPRConfig(use_epsilon_greedy=(self.mode == "from_scratch"), dqn=dqn,
                          **self._shared_with(PPRConfig))
@@ -245,16 +245,8 @@ class RunLog:
 
 def run_single(config: ExperimentConfig) -> RunLog:
     """Execute one run and write runlog.csv, policy.qnet and config.txt
-    under config.out."""
-    if config.mode == "ppr":
-        if not config.library:
-            raise ValueError("ppr mode needs --library pointing at a policy library")
-        library = load_library(config.library)
-    else:
-        if config.library:
-            raise ValueError("from_scratch mode does not take a library")
-        library = PolicyLibrary()
-    return _train(config, library)[0]
+    under config.out; a ppr run reuses the library at config.library."""
+    return _train(config, load_library(config.library) if config.library else PolicyLibrary())[0]
 
 
 def _train(config: ExperimentConfig, library: PolicyLibrary) -> tuple[RunLog, QNetwork]:
@@ -322,8 +314,8 @@ _FRAME_MARGIN = 20             # pixels between the image edge and the axis fram
 _FRAME_INSET = 3               # pixels between the frame and the data; keeps 2-px lines inside
 
 
-def emit_plot(log: RunLog, image_path, rolling_csv_path=None, window: int = 50):
-    """Write the rolling-mean CSV and a PNG score plot.
+def emit_plot(log: RunLog, image_path, window: int = 50):
+    """Write a PNG score plot and its rolling-mean CSV, named like it with suffix .rolling.csv.
 
     The plot is a PLOT_WIDTH x PLOT_HEIGHT RGB image: a white background,
     a black axis frame spanning the episode and score ranges, the episode
@@ -339,9 +331,7 @@ def emit_plot(log: RunLog, image_path, rolling_csv_path=None, window: int = 50):
     scores = log.scores()
     if not np.isfinite(scores).all():
         raise ValueError("cannot plot a run log with non-finite scores")
-    if rolling_csv_path is None:
-        rolling_csv_path = image_path.with_suffix(".rolling.csv")
-    rolling_csv_path = Path(rolling_csv_path)
+    rolling_csv_path = image_path.with_suffix(".rolling.csv")
     rolling = log.rolling_mean(window)
     lines = ["episode,score_rolling_mean"]
     lines += [

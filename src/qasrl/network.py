@@ -14,6 +14,14 @@ import numpy as np
 SNAPSHOT_FORMAT_VERSION = 1
 
 
+def _checked_layer_sizes(layer_sizes) -> tuple[list[int], int]:
+    """Two or more positive layer sizes as ints, and the parameter count of a network of them."""
+    sizes = [int(s) for s in layer_sizes]
+    if len(sizes) < 2 or any(s < 1 for s in sizes):
+        raise ValueError(f"bad layer sizes {layer_sizes}")
+    return sizes, sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+
+
 class QNetwork:
     """Fully connected net, ReLU hidden layers, linear output.
 
@@ -22,12 +30,9 @@ class QNetwork:
     """
 
     def __init__(self, layer_sizes, rng: np.random.Generator | None = None):
-        sizes = [int(s) for s in layer_sizes]
-        if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise ValueError(f"bad layer sizes {layer_sizes}")
-        self.layer_sizes = sizes
+        self.layer_sizes, n_params = _checked_layer_sizes(layer_sizes)
         # Every parameter in one vector, W0, b0, W1, b1, ...: the snapshot byte order.
-        self.params = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:])))
+        self.params = np.zeros(n_params)
         self.weights, self.biases = self.layer_views(self.params)
         if rng is not None:
             for w in self.weights:
@@ -231,8 +236,8 @@ def save_policy(net: QNetwork, path) -> None:
 
 
 def load_policy(path) -> QNetwork:
-    """Read a save_policy snapshot; a malformed one raises a ValueError
-    naming the file."""
+    """Read a save_policy snapshot; a malformed one, a body that does not fit
+    the header's layer sizes included, raises a ValueError naming the file."""
     raw = Path(path).read_bytes()
     header_line, newline, blob = raw.partition(b"\n")
     try:
@@ -243,9 +248,10 @@ def load_policy(path) -> QNetwork:
             raise ValueError(f"unsupported snapshot format {header.get('format_version')!r}")
         if header["activation"] != "relu":
             raise ValueError(f"unsupported activation {header['activation']!r}")
-        net = QNetwork(header["layer_sizes"])
-        if len(blob) != 8 * net.params.size:
-            raise ValueError(f"snapshot holds {len(blob) / 8:g} parameters, expected {net.params.size}")
+        sizes, n_params = _checked_layer_sizes(header["layer_sizes"])
+        if len(blob) != 8 * n_params:
+            raise ValueError(f"snapshot holds {len(blob) / 8:g} parameters, expected {n_params}")
+        net = QNetwork(sizes)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise file_error(path, exc) from None
     net.params[:] = np.frombuffer(blob, dtype="<f8")

@@ -65,10 +65,6 @@ class ReuseStats:
         return cls(np.zeros(n_slots), np.zeros(n_slots, dtype=int), **ramp)
 
     @property
-    def n_slots(self) -> int:
-        return len(self.mean_scores)
-
-    @property
     def temperature(self) -> float:
         return self.temperature_init + self.episodes_done * self.temperature_step
 
@@ -130,7 +126,7 @@ def softmax_select(scores: np.ndarray, temperature: float, rng: np.random.Genera
 
 def _play_episode(env: CircuitEnv, agent: DQNAgent, choose) -> EpisodeRecord:
     """One episode acting by ``choose(obs, steps_completed)``; the
-    in-training network observes and learns from every transition."""
+    in-training network stores and learns from every transition."""
     obs = env.reset()
     steps_completed = 0
     while True:
@@ -138,7 +134,7 @@ def _play_episode(env: CircuitEnv, agent: DQNAgent, choose) -> EpisodeRecord:
         result = env.step(action)
         steps_completed += 1
         next_obs = None if result.done else result.observation
-        agent.observe(Transition(obs, action, result.reward, next_obs))
+        agent.memory.push(Transition(obs, action, result.reward, next_obs))
         agent.learn()
         obs = result.observation
         if result.done:

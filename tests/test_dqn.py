@@ -354,7 +354,7 @@ class TestAgent:
 
     def test_learn_is_no_op_until_replay_fills(self):
         agent = DQNAgent(6, 12, DQNConfig(), np.random.default_rng(0))
-        agent.observe(make_transition(1.0))
+        agent.memory.push(make_transition(1.0))
         assert agent.learn() is None
 
     def test_sync_target_copies(self):
@@ -371,15 +371,15 @@ class TestAgent:
         def filled_agent():
             agent, data = DQNAgent(6, 12, DQNConfig(), np.random.default_rng(5)), np.random.default_rng(6)
             for _ in range(300):
-                agent.observe(random_transition(data))
+                agent.memory.push(random_transition(data))
             return agent, data
 
         reused, data = filled_agent()
         fresh, _ = filled_agent()
         for step in range(200):
             transition = random_transition(data)
-            reused.observe(transition)
-            fresh.observe(transition)
+            reused.memory.push(transition)
+            fresh.memory.push(transition)
             loss = reused.learn()
             assert loss == optimize(fresh.policy_net, fresh.target_net, fresh.memory,
                                     fresh.config, fresh.adam, fresh.rng)

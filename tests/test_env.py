@@ -72,18 +72,11 @@ class TestStep:
         assert record.score == record.final_fidelity - 0.02
         assert abs(record.score - 0.98) < 1e-9
 
-    def test_accepts_gate_actions_directly(self):
-        env = make_env()
-        env.reset()
-        env.step(GateAction(GateKind.HADAMARD, target=0))
-        result = env.step(GateAction(GateKind.CNOT, target=1, control=0))
-        assert result.done
-
     def test_low_threshold_finishes_immediately(self):
         env = make_env(fidelity_threshold=0.4)
         env.reset()
         result = env.step(Z0)
-        assert result.done and result.steps_taken == 1
+        assert result.done and env.episode_record().steps == 1
         np.testing.assert_allclose(result.reward, 0.5, atol=1e-12)
 
     def test_truncation_at_step_budget(self):
@@ -194,6 +187,6 @@ class TestEnvConfig:
         plus = TargetState(np.array([1, 1], dtype=complex) / np.sqrt(2))
         env = CircuitEnv(EnvConfig(target=plus, fidelity_threshold=0.9))
         env.reset()
-        result = env.step(GateAction(GateKind.HADAMARD, target=0))
+        result = env.step(4)  # Hadamard, the one qubit's fifth action
         assert result.done
         np.testing.assert_allclose(result.fidelity, 1.0, atol=1e-12)

@@ -101,7 +101,6 @@ class TestExperimentConfig:
 
     def test_error_override_beats_stage_table(self):
         config = ExperimentConfig(env_id=1, error_x=0.2)
-        assert config.gate_errors() == {GateKind.PAULI_X: 0.2}
         assert config.env_config().noise.gate_p(GateKind.PAULI_X) == 0.2
 
     @pytest.mark.parametrize("env_id", range(6))
@@ -143,7 +142,13 @@ class TestExperimentConfig:
 
     def test_from_scratch_uses_epsilon_greedy(self):
         assert ExperimentConfig(mode="from_scratch").ppr_config().use_epsilon_greedy
-        assert not ExperimentConfig(mode="ppr").ppr_config().use_epsilon_greedy
+        assert not ExperimentConfig(mode="ppr", library="lib").ppr_config().use_epsilon_greedy
+
+    def test_ppr_without_library_in_a_file_names_the_file(self, tmp_path):
+        path = tmp_path / "ppr.txt"
+        path.write_text("mode = ppr\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: ppr mode needs --library"):
+            ExperimentConfig.from_file(path)
 
 
 class TestRunLog:
@@ -226,17 +231,15 @@ class TestRunSingle:
         assert (tmp_path / "a" / "runlog.csv").read_bytes() == (tmp_path / "b" / "runlog.csv").read_bytes()
 
     def test_ppr_mode_requires_library(self, tmp_path):
-        config = tiny_config(tmp_path, mode="ppr", library=None)
-        with pytest.raises(ValueError):
-            run_single(config)
+        with pytest.raises(ValueError, match="ppr mode needs --library"):
+            tiny_config(tmp_path, mode="ppr", library=None)
 
     def test_from_scratch_rejects_library(self, tmp_path):
         library = PolicyLibrary()
         library.append(bell_solver_network(), "solver")
         save_library(library, tmp_path / "lib")
-        config = tiny_config(tmp_path, library=str(tmp_path / "lib"))
-        with pytest.raises(ValueError):
-            run_single(config)
+        with pytest.raises(ValueError, match="from_scratch mode does not take a library"):
+            tiny_config(tmp_path, library=str(tmp_path / "lib"))
 
     def test_ppr_mode_runs_with_library(self, tmp_path):
         library = PolicyLibrary()
@@ -256,9 +259,8 @@ class TestRunSingle:
 class TestEmitPlot:
     def test_writes_rolling_csv_and_image(self, tmp_path):
         log = run_single(tiny_config(tmp_path, episodes=10))
-        rolling_path, image_path = emit_plot(
-            log, tmp_path / "scores.png", tmp_path / "rolling.csv", window=4
-        )
+        rolling_path, image_path = emit_plot(log, tmp_path / "scores.png", window=4)
+        assert rolling_path == tmp_path / "scores.rolling.csv"
         lines = rolling_path.read_text().splitlines()
         assert lines[0] == "episode,score_rolling_mean"
         assert len(lines) == 11
@@ -493,6 +495,14 @@ class TestCli:
         code = main(["run", "--config", str(tmp_path / "config.txt")])
         assert code == 0
         assert (tmp_path / "run" / "runlog.csv").exists()
+
+    def test_bad_mode_with_a_library_names_the_mode(self, tmp_path, capsys):
+        """The mode is checked before whether it fits the library."""
+        path = tmp_path / "f.txt"
+        path.write_text("mode = foo\nlibrary = x\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: mode must be from_scratch or ppr, got 'foo'\n"
+        assert not (tmp_path / "run").exists()
 
     def test_bad_config_file_is_one_line_error_naming_it(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -362,8 +362,11 @@ class TestFlatParameters:
     b"{not json\n",
     b"no newline at all",
     b'{"format_version": 1, "layer_sizes": [2, 3], "activation": "relu"}\n' + b"\0" * 13,
+    # 7 PiB of parameters named by the header, 16 bytes given: refused before any allocation.
+    b'{"format_version": 1, "layer_sizes": [6, 10000000, 100000000, 12], "activation": "relu"}\n'
+    + b"\0" * 16,
 ], ids=["no_layer_sizes", "no_activation", "bad_layer_sizes", "not_an_object", "bad_json",
-        "no_newline", "partial_parameter"])
+        "no_newline", "partial_parameter", "oversize_header"])
 def test_malformed_snapshot_is_a_value_error_naming_the_file(tmp_path, content):
     path = tmp_path / "broken.qnet"
     path.write_bytes(content)

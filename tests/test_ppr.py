@@ -356,7 +356,7 @@ class TestPprRun:
         library.append(bell_solver_network(), "solver")
         config = PPRConfig(episodes=300, dqn=DQNConfig(hidden_sizes=(8,)))
         result = ppr_run(fast_env(), library, config, np.random.default_rng(21))
-        assert result.stats.n_slots == len(library) + 1
+        assert len(result.stats.mean_scores) == len(library) + 1
         scores = np.array([e.score for e in result.log])
         slots = np.array([e.policy_index for e in result.log])
         for slot in range(2):
