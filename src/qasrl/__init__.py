@@ -27,7 +27,6 @@ from .dqn import (
     update_target,
 )
 from .ppr import (
-    ExplorationParams,
     PolicyLibrary,
     PPRConfig,
     PPRRunResult,

@@ -99,6 +99,9 @@ class ExperimentConfig:
             raise ValueError("ppr mode needs --library pointing at a policy library")
         if self.mode == "from_scratch" and self.library:
             raise ValueError("from_scratch mode does not take a library")
+        # Building the run's configs here makes every range check fire when this config is made.
+        self.env_config()
+        self.ppr_config()
 
     def to_text(self) -> str:
         lines = []

@@ -252,7 +252,7 @@ def load_policy(path) -> QNetwork:
         if len(blob) != 8 * n_params:
             raise ValueError(f"snapshot holds {len(blob) / 8:g} parameters, expected {n_params}")
         net = QNetwork(sizes)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise file_error(path, exc) from None
     net.params[:] = np.frombuffer(blob, dtype="<f8")
     return net

@@ -29,17 +29,32 @@ LIBRARY_FORMAT_VERSION = 1
 
 
 @dataclass
-class ExplorationParams:
-    """Past-policy steering: follow probability and its per-step decay."""
+class PPRConfig:
+    """Run-level knobs and the reuse schedule; defaults reproduce the experiment setup."""
 
+    episodes: int = 1000
+    temperature_init: float = 0.0
+    temperature_step: float = 0.01
     follow_prob: float = 1.0
     follow_decay: float = 0.95
+    use_epsilon_greedy: bool = False
+    dqn: DQNConfig = field(default_factory=DQNConfig)
 
     def __post_init__(self):
-        if not 0.0 <= self.follow_prob <= 1.0:
-            raise ValueError(f"follow_prob out of [0, 1]: {self.follow_prob}")
-        if not 0.0 <= self.follow_decay <= 1.0:
-            raise ValueError(f"follow_decay out of [0, 1]: {self.follow_decay}")
+        if self.episodes < 0:
+            raise ValueError(f"episodes must not be negative, got {self.episodes}")
+        for name in ("temperature_init", "temperature_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.temperature_step < 0:
+            raise ValueError(f"temperature_step must not be negative, got {self.temperature_step}")
+        for name in ("follow_prob", "follow_decay"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} out of [0, 1]: {getattr(self, name)}")
+
+    def temperature(self, episodes_done: int) -> float:
+        """Softmax temperature after ``episodes_done`` episodes: a linear ramp."""
+        return self.temperature_init + episodes_done * self.temperature_step
 
     def follow_probability(self, steps_completed: int) -> float:
         """Probability of deferring to the past policy after ``steps_completed`` steps."""
@@ -48,34 +63,21 @@ class ExplorationParams:
 
 @dataclass
 class ReuseStats:
-    """Running mean score and selection count per library slot.
-
-    Slot 0 is the in-training policy.  The softmax temperature is a
-    linear ramp: temperature_init + episodes_done * temperature_step.
-    """
+    """Running mean score and selection count per library slot; slot 0
+    is the in-training policy."""
 
     mean_scores: np.ndarray
     selection_counts: np.ndarray
-    temperature_init: float = 0.0
-    temperature_step: float = 0.01
-    episodes_done: int = 0
 
     @classmethod
-    def fresh(cls, n_slots: int, **ramp):
-        return cls(np.zeros(n_slots), np.zeros(n_slots, dtype=int), **ramp)
-
-    @property
-    def temperature(self) -> float:
-        return self.temperature_init + self.episodes_done * self.temperature_step
+    def fresh(cls, n_slots: int):
+        return cls(np.zeros(n_slots), np.zeros(n_slots, dtype=int))
 
     def record(self, slot: int, score: float) -> None:
         """Fold one episode score into the slot's running mean."""
         count = self.selection_counts[slot]
         self.mean_scores[slot] = (self.mean_scores[slot] * count + score) / (count + 1)
         self.selection_counts[slot] = count + 1
-
-    def advance_temperature(self) -> None:
-        self.episodes_done += 1
 
 
 class PolicyLibrary:
@@ -88,10 +90,6 @@ class PolicyLibrary:
 
     def __len__(self) -> int:
         return len(self._policies)
-
-    @property
-    def n_slots(self) -> int:
-        return 1 + len(self._policies)
 
     def policy(self, slot: int) -> QNetwork:
         """The frozen policy behind a nonzero softmax slot."""
@@ -156,7 +154,7 @@ def q_learning_episode(env: CircuitEnv, agent: DQNAgent, rng: np.random.Generato
 
 
 def pi_exploration_episode(env: CircuitEnv, agent: DQNAgent, past_policy: QNetwork,
-                           params: ExplorationParams, rng: np.random.Generator) -> EpisodeRecord:
+                           config: PPRConfig, rng: np.random.Generator) -> EpisodeRecord:
     """One episode steered by a past policy with decaying probability.
 
     Each step, with probability follow_prob * follow_decay^t the past
@@ -164,32 +162,10 @@ def pi_exploration_episode(env: CircuitEnv, agent: DQNAgent, past_policy: QNetwo
     in-training network learns from every transition either way.
     """
     def choose(obs, steps_completed):
-        follow = rng.random() < params.follow_probability(steps_completed)
+        follow = rng.random() < config.follow_probability(steps_completed)
         return select_action_greedy(past_policy if follow else agent.policy_net, obs)
 
     return _play_episode(env, agent, choose)
-
-
-@dataclass
-class PPRConfig:
-    """Run-level knobs; defaults reproduce the experiment setup."""
-
-    episodes: int = 1000
-    temperature_init: float = ReuseStats.temperature_init
-    temperature_step: float = ReuseStats.temperature_step
-    follow_prob: float = ExplorationParams.follow_prob
-    follow_decay: float = ExplorationParams.follow_decay
-    use_epsilon_greedy: bool = False
-    dqn: DQNConfig = field(default_factory=DQNConfig)
-
-    def __post_init__(self):
-        if self.episodes < 0:
-            raise ValueError(f"episodes must not be negative, got {self.episodes}")
-        for name in ("temperature_init", "temperature_step"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.temperature_step < 0:
-            raise ValueError(f"temperature_step must not be negative, got {self.temperature_step}")
 
 
 @dataclass(frozen=True)
@@ -232,25 +208,20 @@ def ppr_run(env: CircuitEnv, library: PolicyLibrary, config: PPRConfig,
                              f"environment has {env.observation_dim} inputs and {env.n_actions} actions")
     agent_rng, behavior_rng = rng.spawn(2)
     agent = DQNAgent(env.observation_dim, env.n_actions, config.dqn, agent_rng)
-    stats = ReuseStats.fresh(library.n_slots, temperature_init=config.temperature_init,
-                             temperature_step=config.temperature_step)
-    exploration = ExplorationParams(config.follow_prob, config.follow_decay)
+    stats = ReuseStats.fresh(len(library) + 1)
     epsilon = config.dqn.epsilon_start if config.use_epsilon_greedy else 0.0
     log: list[RunRow] = []
     for episode in range(1, config.episodes + 1):
-        temperature = stats.temperature
+        temperature = config.temperature(episode - 1)
         _, slot = softmax_select(stats.mean_scores, temperature, behavior_rng)
         try:
             if slot == 0:
                 record = q_learning_episode(env, agent, behavior_rng, epsilon=epsilon)
             else:
-                record = pi_exploration_episode(
-                    env, agent, library.policy(slot), exploration, behavior_rng
-                )
+                record = pi_exploration_episode(env, agent, library.policy(slot), config, behavior_rng)
         except FloatingPointError as exc:
             raise FloatingPointError(f"learning went non-finite in episode {episode}: {exc}") from None
         stats.record(slot, record.score)
-        stats.advance_temperature()
         if config.use_epsilon_greedy:
             epsilon = max(config.dqn.epsilon_min, epsilon * config.dqn.epsilon_decay)
         if episode % config.dqn.target_update_period == 0:

@@ -15,7 +15,6 @@ from conftest import finite_difference_max_rel_err, random_density_matrix
 from qasrl.env import CircuitEnv
 from qasrl.experiments import ExperimentConfig, build_environment, run_single
 from qasrl.ppr import (
-    ExplorationParams,
     PolicyLibrary,
     PPRConfig,
     ReuseStats,
@@ -262,15 +261,13 @@ def test_criterion_7_reuse_arithmetic_exactness():
         worst_norm = max(worst_norm, abs(probs.sum() - 1.0))
         flat, _ = softmax_select(values, 0.0, rng)
         worst_uniform = max(worst_uniform, np.abs(flat - 1.0 / n).max())
-    params = ExplorationParams(follow_prob=1.0, follow_decay=0.95)
+    schedule = PPRConfig(temperature_init=0.0, temperature_step=0.01, follow_prob=1.0, follow_decay=0.95)
     worst_follow = max(
-        abs(params.follow_probability(t) - 1.0 * 0.95**t) for t in range(26)
+        abs(schedule.follow_probability(t) - 1.0 * 0.95**t) for t in range(26)
     )
-    stats = ReuseStats.fresh(1, temperature_init=0.0, temperature_step=0.01)
     worst_temp = 0.0
     for episode in range(1, 1001):
-        stats.advance_temperature()
-        worst_temp = max(worst_temp, abs(stats.temperature - (0.0 + episode * 0.01)))
+        worst_temp = max(worst_temp, abs(schedule.temperature(episode) - (0.0 + episode * 0.01)))
     passed = max(worst_mean, worst_norm, worst_uniform, worst_follow, worst_temp) <= 1e-12
     report(
         7,

@@ -209,6 +209,16 @@ def tiny_config(tmp_path, **kwargs) -> ExperimentConfig:
     return ExperimentConfig(**defaults)
 
 
+def config_file_with(tmp_path, field, value, **kwargs):
+    """A config file of tiny_config's text with ``field`` set to ``value``,
+    which the constructor itself would refuse."""
+    lines = [f"{field} = {value}" if line.startswith(f"{field} = ") else line
+             for line in tiny_config(tmp_path, **kwargs).to_text().splitlines()]
+    path = tmp_path / "config.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestRunSingle:
     def test_artifacts_and_row_bounds(self, tmp_path):
         config = tiny_config(tmp_path)
@@ -513,11 +523,11 @@ class TestCli:
         assert not (tmp_path / "run").exists()
 
     def test_negative_error_override_is_one_line_error(self, tmp_path, capsys):
-        tiny_config(tmp_path, env_id=1, error_x=-0.5).to_file(tmp_path / "config.txt")
-        code = main(["run", "--config", str(tmp_path / "config.txt")])
+        path = config_file_with(tmp_path, "error_x", -0.5, env_id=1)
+        code = main(["run", "--config", str(path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: gate error for x out of [0, 1]: -0.5")
+        assert err.startswith(f"error: {path}: gate error for x out of [0, 1]: -0.5")
         assert err.count("\n") == 1
         assert not (tmp_path / "run" / "runlog.csv").exists()
 
@@ -532,23 +542,25 @@ class TestCli:
         ("step_penalty", float("nan")),
         ("temperature_init", float("nan")),
         ("temperature_step", float("inf")),
+        ("follow_prob", 1.5),
+        ("follow_decay", -0.1),
     ])
     def test_out_of_range_setting_is_one_line_error(self, tmp_path, capsys, field, value):
-        tiny_config(tmp_path, **{field: value}).to_file(tmp_path / "config.txt")
-        code = main(["run", "--config", str(tmp_path / "config.txt")])
+        path = config_file_with(tmp_path, field, value)
+        code = main(["run", "--config", str(path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {field} ")
+        assert err.startswith(f"error: {path}: {field} ")
         assert err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("field", ["hidden1", "hidden2"])
     def test_empty_hidden_layer_is_one_line_error(self, tmp_path, capsys, field):
-        tiny_config(tmp_path, **{field: 0}).to_file(tmp_path / "config.txt")
-        code = main(["run", "--config", str(tmp_path / "config.txt")])
+        path = config_file_with(tmp_path, field, 0)
+        code = main(["run", "--config", str(path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: hidden_sizes must be positive")
+        assert err.startswith(f"error: {path}: hidden_sizes must be positive")
         assert err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
@@ -569,7 +581,14 @@ class TestCli:
     def test_bad_env_returns_error(self, tmp_path, capsys):
         code = main(["run", "--env", "9", "--out", str(tmp_path / "run")])
         assert code == 1
-        assert capsys.readouterr().err != ""
+        assert capsys.readouterr().err == "error: unknown environment id 9; choose 0..5\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_bad_env_in_a_file_names_the_file(self, tmp_path, capsys):
+        path = config_file_with(tmp_path, "env_id", 9)
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: unknown environment id 9; choose 0..5\n"
+        assert not (tmp_path / "run").exists()
 
     def test_negative_episodes_is_one_line_error(self, tmp_path, capsys):
         code = main(["run", "--env", "0", "--episodes", "-5", "--out", str(tmp_path / "run")])

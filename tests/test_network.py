@@ -365,8 +365,9 @@ class TestFlatParameters:
     # 7 PiB of parameters named by the header, 16 bytes given: refused before any allocation.
     b'{"format_version": 1, "layer_sizes": [6, 10000000, 100000000, 12], "activation": "relu"}\n'
     + b"\0" * 16,
+    b'{"format_version": 1, "layer_sizes": [6, 1e400, 12], "activation": "relu"}\n',
 ], ids=["no_layer_sizes", "no_activation", "bad_layer_sizes", "not_an_object", "bad_json",
-        "no_newline", "partial_parameter", "oversize_header"])
+        "no_newline", "partial_parameter", "oversize_header", "infinite_layer_size"])
 def test_malformed_snapshot_is_a_value_error_naming_the_file(tmp_path, content):
     path = tmp_path / "broken.qnet"
     path.write_bytes(content)

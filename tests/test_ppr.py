@@ -13,7 +13,6 @@ from qasrl.env import CircuitEnv, EnvConfig
 from qasrl.experiments import build_environment
 from qasrl.network import QNetwork, save_policy
 from qasrl.ppr import (
-    ExplorationParams,
     PolicyLibrary,
     PPRConfig,
     ReuseStats,
@@ -101,28 +100,26 @@ class TestReuseStats:
                 stats.record(0, s)
             np.testing.assert_allclose(stats.mean_scores[0], scores.mean(), atol=1e-12)
 
+
+class TestReuseSchedule:
     def test_temperature_ramp(self):
-        stats = ReuseStats.fresh(1, temperature_init=0.0, temperature_step=0.01)
-        assert stats.temperature == 0.0
-        for _ in range(1000):
-            stats.advance_temperature()
-        np.testing.assert_allclose(stats.temperature, 10.0, atol=1e-12)
+        config = PPRConfig(temperature_init=0.0, temperature_step=0.01)
+        assert config.temperature(0) == 0.0
+        np.testing.assert_allclose(config.temperature(1000), 10.0, atol=1e-12)
 
-
-class TestExplorationParams:
     def test_decay_after_three_steps(self):
-        params = ExplorationParams(follow_prob=1.0, follow_decay=0.95)
-        np.testing.assert_allclose(params.follow_probability(3), 0.857375, atol=1e-12)
+        config = PPRConfig(follow_prob=1.0, follow_decay=0.95)
+        np.testing.assert_allclose(config.follow_probability(3), 0.857375, atol=1e-12)
 
     def test_no_steps_means_initial_probability(self):
-        params = ExplorationParams(follow_prob=0.8)
-        assert params.follow_probability(0) == 0.8
+        config = PPRConfig(follow_prob=0.8)
+        assert config.follow_probability(0) == 0.8
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ExplorationParams(follow_prob=1.2)
-        with pytest.raises(ValueError):
-            ExplorationParams(follow_decay=-0.1)
+        with pytest.raises(ValueError, match=r"^follow_prob out of \[0, 1\]: 1.2$"):
+            PPRConfig(follow_prob=1.2)
+        with pytest.raises(ValueError, match=r"^follow_decay out of \[0, 1\]: -0.1$"):
+            PPRConfig(follow_decay=-0.1)
 
 
 class TestPolicyLibrary:
@@ -268,7 +265,7 @@ class TestQLearningEpisode:
 
 class TestPiExplorationEpisode:
     def test_psi_zero_matches_q_learning_exactly(self):
-        params = ExplorationParams(follow_prob=0.0)
+        config = PPRConfig(follow_prob=0.0)
         env_a = CircuitEnv(build_environment(0))
         env_b = CircuitEnv(build_environment(0))
         agent_a = DQNAgent(6, 12, DQNConfig(), np.random.default_rng(10))
@@ -277,7 +274,7 @@ class TestPiExplorationEpisode:
         rng_a = np.random.default_rng(11)
         rng_b = np.random.default_rng(12)  # deliberately different
         for _ in range(10):
-            rec_a = pi_exploration_episode(env_a, agent_a, past, params, rng_a)
+            rec_a = pi_exploration_episode(env_a, agent_a, past, config, rng_a)
             rec_b = q_learning_episode(env_b, agent_b, rng_b)
             assert rec_a.actions == rec_b.actions
             assert rec_a.score == rec_b.score
@@ -293,18 +290,18 @@ class TestPiExplorationEpisode:
             def random(self):
                 return 0.0
 
-        params = ExplorationParams(follow_prob=0.0)
+        config = PPRConfig(follow_prob=0.0)
         env = CircuitEnv(build_environment(0))
         agent = solver_agent(env, min_replay=10**9)
         past = Untouchable([6, 12])
         rng = np.random.default_rng(16)
         for _ in range(200):
-            pi_exploration_episode(env, agent, past, params, rng)
-        record = pi_exploration_episode(env, agent, past, params, ZeroDraws())
+            pi_exploration_episode(env, agent, past, config, rng)
+        record = pi_exploration_episode(env, agent, past, config, ZeroDraws())
         assert record.steps == 2
 
     def test_full_follow_replays_the_past_policy(self):
-        params = ExplorationParams(follow_prob=1.0, follow_decay=1.0)
+        config = PPRConfig(follow_prob=1.0, follow_decay=1.0)
         env = CircuitEnv(build_environment(0))
         agent = solver_agent(env, min_replay=10**9)
         # past policy plays the solution; the in-training net never acts
@@ -312,7 +309,7 @@ class TestPiExplorationEpisode:
             agent.policy_net.weights[layer][:] = 0.0
             agent.policy_net.biases[layer][:] = 0.0
         record = pi_exploration_episode(
-            env, agent, bell_solver_network(), params, np.random.default_rng(13)
+            env, agent, bell_solver_network(), config, np.random.default_rng(13)
         )
         assert [a for a in record.actions] == [env.actions[4], env.actions[10]]
 
@@ -323,13 +320,13 @@ class TestPiExplorationEpisode:
         config = DQNConfig(hidden_sizes=(), min_replay=10**9)
         agent = DQNAgent(6, 12, config, np.random.default_rng(14))
         update_target(constant_output_network([0] * 3 + [1.0] + [0] * 8, 6), agent.policy_net)
-        params = ExplorationParams(follow_prob=1.0, follow_decay=0.95)
+        reuse = PPRConfig(follow_prob=1.0, follow_decay=0.95)
         past = bell_solver_network()
         rng = np.random.default_rng(15)
         episodes = 3000
         hits = 0
         for _ in range(episodes):
-            record = pi_exploration_episode(env, agent, past, params, rng)
+            record = pi_exploration_episode(env, agent, past, reuse, rng)
             if record.actions[:2] == (env.actions[4], env.actions[10]):
                 hits += 1
         p = 0.95
@@ -348,7 +345,6 @@ class TestPprRun:
         result = ppr_run(fast_env(), PolicyLibrary(), config, np.random.default_rng(20))
         assert len(result.log) == 1000
         np.testing.assert_allclose(result.log[-1].temperature, 9.99, atol=1e-12)
-        np.testing.assert_allclose(result.stats.temperature, 10.0, atol=1e-12)
         assert result.stats.selection_counts.sum() == 1000
 
     def test_logged_means_match_recomputed_means(self):
@@ -392,7 +388,6 @@ class TestPprRun:
         config = PPRConfig(episodes=30, dqn=DQNConfig(hidden_sizes=(8,)))
         ppr_run(fast_env(), library, config, np.random.default_rng(25))
         result = ppr_run(fast_env(), library, config, np.random.default_rng(26))
-        assert result.stats.episodes_done == 30
         assert result.stats.selection_counts.sum() == 30
 
     @pytest.mark.parametrize("sizes", [[6, 8, 5], [7, 8, 12]])
