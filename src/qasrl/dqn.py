@@ -1,4 +1,4 @@
-"""Deep Q-learning pieces: replay memory, TD targets, action selection.
+"""Deep Q-learning pieces: replay memory, target values, TD targets, action selection.
 
 Terminal transitions store ``next_state=None`` and their target is the
 bare reward; everything else bootstraps through a separate target
@@ -25,24 +25,29 @@ class Transition:
 
 
 class Batch(NamedTuple):
-    """Transitions as row-aligned arrays; next_states rows count only where live."""
+    """Transitions as row-aligned arrays; next_ids count only where live."""
 
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
-    next_states: np.ndarray
+    next_ids: np.ndarray
     live: np.ndarray
 
 
 class ReplayMemory:
-    """Bounded ring of row arrays, allocated at the first push; push n lands in row n % capacity."""
+    """Bounded ring of row arrays, allocated at the first push; push n lands in row n % capacity.
+
+    Next states are interned by their exact bytes as rows of ``observations``
+    and held by id; a new one that finds every row taken first rebuilds the
+    table from the ring's, counted in ``rebuilds``."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.states = self.actions = self.rewards = self.next_states = self.live = None
-        self._pushes = 0
+        self.states = self.actions = self.rewards = self.next_ids = self.live = self.observations = None
+        self.ids: dict[bytes, int] = {}
+        self.rebuilds = self._pushes = 0
 
     def __len__(self) -> int:
         return min(self._pushes, self.capacity)
@@ -50,16 +55,32 @@ class ReplayMemory:
     def push(self, transition: Transition) -> None:
         if self.states is None:
             rows, width = self.capacity, len(transition.state)
-            self.states, self.next_states = np.empty((rows, width)), np.empty((rows, width))
+            self.states, self.observations = np.empty((rows, width)), np.empty((rows, width))
             self.actions, self.rewards = np.empty(rows, dtype=int), np.empty(rows)
-            self.live = np.zeros(rows, dtype=bool)
+            self.next_ids, self.live = np.zeros(rows, dtype=int), np.zeros(rows, dtype=bool)
         slot = self._pushes % self.capacity
         self._pushes += 1
         self.states[slot] = transition.state
         self.actions[slot] = transition.action
         self.rewards[slot] = transition.reward
-        self.live[slot] = live = transition.next_state is not None
-        self.next_states[slot] = transition.next_state if live else 0.0
+        self.live[slot] = False  # the overwritten transition no longer references its next state
+        if transition.next_state is not None:
+            self.next_ids[slot] = self._intern(transition.next_state)
+            self.live[slot] = True
+
+    def _intern(self, observation: np.ndarray) -> int:
+        key = np.asarray(observation, dtype=float).tobytes()
+        if key in self.ids:
+            return self.ids[key]
+        if len(self.ids) == self.capacity:
+            held = self.observations[self.next_ids[self.live]]
+            self.ids.clear()
+            self.rebuilds += 1
+            self.next_ids[self.live] = [self._intern(row) for row in held]
+        new = len(self.ids)
+        self.observations[new] = observation  # first, so a row of the wrong width gets no id
+        self.ids[key] = new
+        return new
 
     def sample(self, k: int, rng: np.random.Generator, workspace: Workspace | None = None) -> Batch:
         """k distinct transitions, uniformly without replacement; gathered
@@ -67,10 +88,34 @@ class ReplayMemory:
         if k > len(self) or self.states is None:
             raise ValueError(f"cannot sample {k} from {len(self)} transitions")
         idx = rng.choice(len(self), size=k, replace=False)
-        columns = (self.states, self.actions, self.rewards, self.next_states, self.live)
+        columns = (self.states, self.actions, self.rewards, self.next_ids, self.live)
         outs = (None,) * len(columns) if workspace is None else workspace.batch
         # idx is in range, so take need not buffer its output against an index error.
         return Batch(*(column.take(idx, 0, out, "clip") for column, out in zip(columns, outs)))
+
+
+class TargetValues:
+    """max_a' Q(s', a') under a target network for each next-state id of one
+    replay memory.  The first ``valued`` ids hold theirs: set it to 0 when the
+    network's parameters change.  Every product has 2 rows or more, whose bits
+    do not depend on the other rows in it (a 1-row product's do)."""
+
+    def __init__(self, capacity: int):
+        self.values, self.valued, self.rebuilds = np.zeros(capacity), 0, 0
+
+    def update(self, net: QNetwork, memory: ReplayMemory, workspace: Workspace) -> np.ndarray:
+        """The values, after computing those of ids new since the last call, or all after a rebuild."""
+        if self.rebuilds != memory.rebuilds:
+            self.valued, self.rebuilds = 0, memory.rebuilds
+        stop, rows = len(memory.ids), len(workspace.out)
+        for start in range(self.valued, stop, rows):
+            end = min(start + rows, stop)
+            # A lone id goes beside the one before it, or beside itself.
+            ids = np.arange(end - max(end - start, 2), end).clip(0)
+            q = net.forward(memory.observations[ids], workspace)
+            self.values[ids] = np.maximum.reduce(q, axis=1, out=workspace.targets[:ids.size])
+        self.valued = stop
+        return self.values
 
 
 @dataclass
@@ -98,6 +143,8 @@ class DQNConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        if self.min_replay < 0:
+            raise ValueError(f"min_replay must not be negative, got {self.min_replay}")
         if self.batch_size > self.replay_capacity:
             raise ValueError(f"batch_size {self.batch_size} exceeds replay_capacity {self.replay_capacity}")
         if not 0.0 <= self.gamma < 1.0:
@@ -116,41 +163,37 @@ class DQNConfig:
                 raise ValueError(f"{name} out of [0, 1): {getattr(self, name)}")
 
 
-def compute_targets(batch: Batch, target_net: QNetwork, gamma: float,
+def compute_targets(batch: Batch, values: np.ndarray, gamma: float,
                     workspace: Workspace | None = None) -> np.ndarray:
-    """r + gamma * max_a' Q(s', a'; target), or just r when terminal.
-
-    Only the live rows go through the target network.  The targets are a
-    view of ``workspace.targets``; without a workspace the call makes a
-    fresh one.
-    """
-    rows = len(batch.rewards)
-    ws = Workspace(target_net, rows) if workspace is None else workspace
-    targets = ws.targets[:rows]
-    targets[:] = batch.rewards
-    live = batch.live.nonzero()[0]
-    if live.size:
-        next_states = batch.next_states.take(live, 0, ws.live_inputs[:live.size], "clip")
-        best = np.maximum.reduce(target_net.forward(next_states, ws), axis=1, out=ws.best_next[:live.size])
-        best *= gamma
-        np.add.at(targets, live, best)
+    """r + gamma * max_a' Q(s', a'; target), or just r when terminal, with the
+    max read by next-state id from ``values``, a TargetValues table.  The
+    targets are a view of ``workspace.targets``, or else a new array."""
+    out = None if workspace is None else workspace.targets[:len(batch.rewards)]
+    # Terminal rows' ids are in range but stale, and their targets are overwritten.
+    targets = values.take(batch.next_ids, 0, out, "clip")
+    targets *= gamma
+    targets += batch.rewards
+    np.copyto(targets, batch.rewards, where=~batch.live)
     return targets
 
 
 def optimize(policy_net: QNetwork, target_net: QNetwork, memory: ReplayMemory,
              config: DQNConfig, adam: AdamState, rng: np.random.Generator,
-             workspace: Workspace | None = None) -> float | None:
+             workspace: Workspace | None = None, target_values: TargetValues | None = None) -> float | None:
     """One replay-sampled gradient step; no-op (None) while memory is short.
 
     Returns the pre-step batch loss otherwise; a loss that is not finite
     raises FloatingPointError before the step.  Every stage but Adam's
     runs in ``workspace`` (of ``config.batch_size`` rows), or in a fresh one.
+    ``target_values`` must hold values under ``target_net``'s parameters;
+    without it the call computes every value anew.
     """
     if len(memory) < max(config.batch_size, config.min_replay):
         return None
     ws = Workspace(policy_net, config.batch_size) if workspace is None else workspace
+    values = (target_values or TargetValues(memory.capacity)).update(target_net, memory, ws)
     batch = memory.sample(config.batch_size, rng, ws)
-    targets = compute_targets(batch, target_net, config.gamma, ws)
+    targets = compute_targets(batch, values, config.gamma, ws)
     loss, grad = mse_loss_and_grad(policy_net, batch.states, batch.actions, targets, ws)
     if not math.isfinite(loss):
         raise FloatingPointError(f"TD loss is {loss}")
@@ -180,8 +223,8 @@ def update_target(policy_net: QNetwork, target_net: QNetwork) -> None:
 
 
 class DQNAgent:
-    """Policy net, frozen-ish target net, replay memory, optimizer state
-    and the workspace every gradient step runs in.
+    """Policy net, frozen-ish target net and its value table, replay
+    memory, optimizer state and the workspace every gradient step runs in.
 
     The agent owns its own rng for replay sampling so that exploration
     draws elsewhere never shift which batches get sampled.
@@ -193,14 +236,16 @@ class DQNAgent:
         sizes = [obs_dim, *config.hidden_sizes, n_actions]
         self.policy_net = QNetwork(sizes, rng=rng)
         self.target_net = clone_parameters(self.policy_net)
+        self.target_values = TargetValues(config.replay_capacity)
         self.memory = ReplayMemory(config.replay_capacity)
         self.adam = AdamState.for_network(self.policy_net, learning_rate=config.learning_rate,
                                           beta1=config.adam_beta1, beta2=config.adam_beta2)
         self.workspace = Workspace(self.policy_net, config.batch_size)
 
     def learn(self) -> float | None:
-        return optimize(self.policy_net, self.target_net, self.memory,
-                        self.config, self.adam, self.rng, self.workspace)
+        return optimize(self.policy_net, self.target_net, self.memory, self.config,
+                        self.adam, self.rng, self.workspace, self.target_values)
 
     def sync_target(self) -> None:
         update_target(self.policy_net, self.target_net)
+        self.target_values.valued = 0  # every value was under the old parameters

@@ -7,6 +7,7 @@ threshold (reward = fidelity) or when the step budget runs out
 (reward = -step_penalty, like every other step).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -35,9 +36,11 @@ _SINGLE_KINDS = (
 )
 
 
+@functools.cache
 def enumerate_actions(n_qubits: int) -> tuple[GateAction, ...]:
     """The discrete action set: 5 single-qubit gates per qubit, then every
-    ordered CNOT pair; 5n + n(n-1) actions in total."""
+    ordered CNOT pair; 5n + n(n-1) actions in total.  One tuple per qubit
+    count, so the transfer-matrix cache matches every env's by identity."""
     actions = [
         GateAction(kind, target=q)
         for q in range(n_qubits)

@@ -54,44 +54,43 @@ class QNetwork:
         return self.layer_sizes[-1]
 
     def forward(self, inputs: np.ndarray, workspace: "Workspace | None" = None) -> np.ndarray:
-        """Q-values for one observation (1-D) or a batch (2-D).  With a
-        workspace each layer writes into its buffer's leading rows, and the
-        result is a view of ``workspace.out``; without one, into new arrays."""
+        """Q-values for one observation (1-D) or a batch (2-D).  One
+        observation runs as vector products, whose bits equal a 1-row
+        batch's.  With a workspace each layer of a batch writes into its
+        buffer's leading rows, and the result is a view of
+        ``workspace.out``; otherwise into new arrays."""
         x = np.asarray(inputs, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.layer_sizes[0]:
+            raise ValueError(f"input shape {x.shape} does not match network input {self.layer_sizes[0]}")
         single = x.ndim == 1
-        h = x.reshape(1, -1) if single else x
-        if h.ndim != 2 or h.shape[1] != self.layer_sizes[0]:
-            raise ValueError(
-                f"input shape {x.shape} does not match network input {self.layer_sizes[0]}"
-            )
-        rows = len(h)
-        outs = ([None] * len(self.weights) if workspace is None
-                else [buffer[:rows] for buffer in (*workspace.hidden, workspace.out)])
-        for w, b, buffer in zip(self.weights[:-1], self.biases[:-1], outs):
-            h = np.matmul(h, w, out=buffer)
+        outs = ([None] * len(self.weights) if workspace is None or single
+                else [buffer[:len(x)] for buffer in (*workspace.hidden, workspace.out)])
+        h = x
+        for w, b, buffer in zip(self.weights, self.biases, outs):
+            if h is not x:  # ReLU on each hidden layer
+                np.maximum(h, 0.0, out=h)
+            h = h.dot(w) if single else np.matmul(h, w, out=buffer)
             h += b
-            np.maximum(h, 0.0, out=h)
-        out = np.matmul(h, self.weights[-1], out=outs[-1])
-        out += self.biases[-1]
-        return out[0] if single else out
+        return h
 
 
 class Workspace:
     """Every buffer of one learner step but Adam's, for ``net``'s
     architecture on batches of up to ``rows`` rows, allocated once.
 
-    The target pass finishes before the policy pass starts, so both write
-    their activations into the same per-layer buffers, through row slices.
+    A target-value refresh finishes before the policy pass starts, so both
+    write their activations into the same per-layer buffers, through row
+    slices; it runs at least 2 rows, so every workspace holds at least 2.
     The gradient is laid out like ``net.params``.
     """
 
     def __init__(self, net: QNetwork, rows: int):
         width, hidden, n_out = net.layer_sizes[0], net.layer_sizes[1:-1], net.layer_sizes[-1]
-        # The sampled replay batch, in dqn.Batch order: states, actions, rewards, next_states, live.
+        # The sampled replay batch, in dqn.Batch order: states, actions, rewards, next_ids, live.
         self.batch = (np.empty((rows, width)), np.empty(rows, dtype=int), np.empty(rows),
-                      np.empty((rows, width)), np.empty(rows, dtype=bool))
-        self.live_inputs = np.empty((rows, width))
-        self.targets, self.best_next, self.err, self.err_sq = (np.empty(rows) for _ in range(4))
+                      np.empty(rows, dtype=int), np.empty(rows, dtype=bool))
+        rows = max(rows, 2)
+        self.targets, self.err, self.err_sq = (np.empty(rows) for _ in range(3))
         self.hidden = [np.empty((rows, n)) for n in hidden]
         self.masks = [np.empty((rows, n), dtype=bool) for n in hidden]
         self.out = np.empty((rows, n_out))

@@ -9,6 +9,7 @@ from qasrl.dqn import (
     DQNAgent,
     DQNConfig,
     ReplayMemory,
+    TargetValues,
     Transition,
     compute_targets,
     optimize,
@@ -16,7 +17,7 @@ from qasrl.dqn import (
     select_action_greedy,
     update_target,
 )
-from qasrl.network import AdamState, QNetwork, clone_parameters, mse_loss_and_grad
+from qasrl.network import AdamState, QNetwork, Workspace, clone_parameters, mse_loss_and_grad
 
 
 def make_transition(value: float, terminal: bool = True, dim: int = 6) -> Transition:
@@ -24,12 +25,15 @@ def make_transition(value: float, terminal: bool = True, dim: int = 6) -> Transi
     return Transition(state, 0, value, None if terminal else state.copy())
 
 
-def batch_of(*transitions: Transition) -> Batch:
-    """The transitions as a Batch, in the order given."""
+def targets_of(net: QNetwork, gamma: float, *transitions: Transition) -> np.ndarray:
+    """compute_targets over the transitions as one batch, in the order
+    given, with their next states valued under ``net``."""
     memory = ReplayMemory(len(transitions))
     for t in transitions:
         memory.push(t)
-    return Batch(memory.states, memory.actions, memory.rewards, memory.next_states, memory.live)
+    values = TargetValues(memory.capacity).update(net, memory, Workspace(net, len(transitions)))
+    batch = Batch(memory.states, memory.actions, memory.rewards, memory.next_ids, memory.live)
+    return compute_targets(batch, values, gamma)
 
 
 class TestReplayMemory:
@@ -62,7 +66,7 @@ class TestReplayMemory:
         np.testing.assert_array_equal(memory.rewards, [3.0, 4.0, 2.0])
         np.testing.assert_array_equal(memory.live, [True, False, False])
         np.testing.assert_array_equal(memory.states[:, 0], [3.0, 4.0, 2.0])
-        np.testing.assert_array_equal(memory.next_states[0], np.full(6, 3.0))
+        np.testing.assert_array_equal(memory.observations[memory.next_ids[0]], np.full(6, 3.0))
 
     def test_arrays_wait_for_the_first_push(self):
         memory = ReplayMemory(10_000)
@@ -70,8 +74,8 @@ class TestReplayMemory:
         with pytest.raises(ValueError):
             memory.sample(0, np.random.default_rng(0))
         memory.push(make_transition(1.0, dim=4))
-        assert memory.states.shape == memory.next_states.shape == (10_000, 4)
-        assert memory.actions.shape == memory.rewards.shape == memory.live.shape == (10_000,)
+        assert memory.states.shape == memory.observations.shape == (10_000, 4)
+        assert memory.actions.shape == memory.rewards.shape == memory.next_ids.shape == memory.live.shape == (10_000,)
 
     def test_sample_rows_stay_aligned(self):
         memory = ReplayMemory(20)
@@ -80,7 +84,7 @@ class TestReplayMemory:
         batch = memory.sample(12, np.random.default_rng(2))
         np.testing.assert_array_equal(batch.states[:, 0], batch.rewards)
         np.testing.assert_array_equal(batch.live, batch.rewards % 3 != 0)
-        np.testing.assert_array_equal(batch.next_states[batch.live, 0], batch.rewards[batch.live])
+        np.testing.assert_array_equal(memory.observations[batch.next_ids[batch.live], 0], batch.rewards[batch.live])
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
@@ -134,36 +138,33 @@ class TestReplayMemory:
 class TestComputeTargets:
     def test_terminal_is_bare_reward(self):
         net = constant_output_network([5.0, 5.0], 6)
-        batch = batch_of(Transition(np.zeros(6), 0, 0.97, None))
-        np.testing.assert_allclose(compute_targets(batch, net, 0.99), [0.97], atol=1e-12)
+        targets = targets_of(net, 0.99, Transition(np.zeros(6), 0, 0.97, None))
+        np.testing.assert_allclose(targets, [0.97], atol=1e-12)
 
     def test_bootstraps_through_max(self):
         net = constant_output_network([0.3, 0.7, 0.1], 6)
-        batch = batch_of(Transition(np.zeros(6), 1, -0.01, np.ones(6)))
-        np.testing.assert_allclose(
-            compute_targets(batch, net, 0.99), [-0.01 + 0.99 * 0.7], atol=1e-12
-        )
+        targets = targets_of(net, 0.99, Transition(np.zeros(6), 1, -0.01, np.ones(6)))
+        np.testing.assert_allclose(targets, [-0.01 + 0.99 * 0.7], atol=1e-12)
 
     def test_gamma_zero_ignores_next_state(self):
         net = constant_output_network([9.0, 9.0], 6)
-        batch = batch_of(Transition(np.zeros(6), 0, 0.5, np.ones(6)))
-        np.testing.assert_allclose(compute_targets(batch, net, 0.0), [0.5], atol=1e-12)
+        targets = targets_of(net, 0.0, Transition(np.zeros(6), 0, 0.5, np.ones(6)))
+        np.testing.assert_allclose(targets, [0.5], atol=1e-12)
 
     def test_zero_target_network(self):
         net = QNetwork([6, 8, 3])
-        batch = batch_of(Transition(np.zeros(6), 0, -0.01, np.ones(6)))
-        np.testing.assert_allclose(compute_targets(batch, net, 0.99), [-0.01], atol=1e-12)
+        targets = targets_of(net, 0.99, Transition(np.zeros(6), 0, -0.01, np.ones(6)))
+        np.testing.assert_allclose(targets, [-0.01], atol=1e-12)
 
     def test_mixed_batch(self):
         net = constant_output_network([1.0, 2.0], 6)
-        batch = batch_of(
+        targets = targets_of(
+            net, 0.5,
             Transition(np.zeros(6), 0, 0.1, np.ones(6)),
             Transition(np.zeros(6), 1, 0.2, None),
             Transition(np.zeros(6), 0, 0.3, np.ones(6)),
         )
-        np.testing.assert_allclose(
-            compute_targets(batch, net, 0.5), [0.1 + 1.0, 0.2, 0.3 + 1.0], atol=1e-12
-        )
+        np.testing.assert_allclose(targets, [0.1 + 1.0, 0.2, 0.3 + 1.0], atol=1e-12)
 
 
 class TestActionSelection:
@@ -343,6 +344,96 @@ class TestOptimize:
         expected, _ = mse_loss_and_grad(policy, memory.states[:8], memory.actions[:8], memory.rewards[:8])
         got = optimize(policy, target, memory, config, adam, rng)
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+def max_q(net: QNetwork, rows: np.ndarray) -> np.ndarray:
+    """max over actions of one forward of ``rows`` (2 or more) as a batch."""
+    return np.maximum.reduce(net.forward(rows), axis=1)
+
+
+def random_net(rng: np.random.Generator) -> QNetwork:
+    net = QNetwork([6, 64, 64, 12], rng=rng)
+    net.params[:] += 0.1 * rng.normal(size=net.params.size)
+    return net
+
+
+class TestTargetValues:
+    """Each interned next state's value, computed once per target sync,
+    has the bits a forward of any batch of 2 or more rows holding it gives."""
+
+    def test_values_equal_one_forward_of_every_row(self):
+        # 129 ids: two full chunks of 64 and a lone last id
+        rng = np.random.default_rng(90)
+        for _ in range(10):
+            net, memory = random_net(rng), ReplayMemory(200)
+            for _ in range(129):
+                memory.push(Transition(np.zeros(6), 0, 0.0, rng.uniform(-1, 1, 6)))
+            values = TargetValues(200).update(net, memory, Workspace(net, 64))
+            assert values[:129].tobytes() == max_q(net, memory.observations[:129]).tobytes()
+
+    def test_one_repeated_next_state_gets_the_two_row_bits(self):
+        rng = np.random.default_rng(91)
+        for _ in range(20):
+            net, memory, state = random_net(rng), ReplayMemory(64), rng.uniform(-1, 1, 6)
+            for _ in range(64):
+                memory.push(Transition(rng.uniform(-1, 1, 6), 0, 0.0, state.copy()))
+            assert len(memory.ids) == 1
+            values = TargetValues(64).update(net, memory, Workspace(net, 64))
+            assert values[:1].tobytes() == max_q(net, np.stack([state, state]))[:1].tobytes()
+
+    def test_targets_follow_the_target_network_after_sync(self):
+        agent, data = DQNAgent(6, 12, DQNConfig(), np.random.default_rng(92)), np.random.default_rng(93)
+        for _ in range(100):
+            agent.memory.push(random_transition(data))
+        agent.learn()
+        n = len(agent.memory.ids)
+        before = agent.target_values.values[:n].copy()
+        agent.policy_net.params[:] += 0.01 * data.normal(size=agent.policy_net.params.size)
+        agent.sync_target()
+        agent.learn()
+        after = agent.target_values.values[:n]
+        assert after.tobytes() == max_q(agent.target_net, agent.memory.observations[:n]).tobytes()
+        assert not np.array_equal(after, before)
+
+    def test_a_next_state_pushed_between_syncs_has_a_value_at_the_next_step(self):
+        agent, data = DQNAgent(6, 12, DQNConfig(), np.random.default_rng(94)), np.random.default_rng(95)
+        for _ in range(100):
+            agent.memory.push(random_transition(data))
+        agent.learn()
+        for _ in range(3):
+            new = data.uniform(-1, 1, 6)
+            agent.memory.push(Transition(data.uniform(-1, 1, 6), 0, 0.0, new))
+            agent.learn()
+            n = len(agent.memory.ids)
+            np.testing.assert_array_equal(agent.memory.observations[n - 1], new)
+            assert agent.target_values.valued == n
+            assert agent.target_values.values[n - 1] == max_q(agent.target_net, agent.memory.observations[:n])[-1]
+
+    def test_table_stays_within_the_ring_capacity(self):
+        """A ring of 4 sees 60 distinct next states in episodes of 1 to 5
+        steps; the table rebuilds from the next states still held, and
+        every held transition and value stays right."""
+        rng = np.random.default_rng(96)
+        net, memory, target_values = random_net(rng), ReplayMemory(4), TargetValues(4)
+        workspace, pushed = Workspace(net, 2), []
+        for episode in range(20):
+            state = rng.uniform(-1, 1, 6)
+            for step in range(int(rng.integers(1, 6))):
+                next_state = None if step == 4 or rng.random() < 0.3 else rng.uniform(-1, 1, 6)
+                memory.push(Transition(state, step, float(episode), next_state))
+                pushed.append(next_state)
+                assert len(memory.ids) <= 4 and memory.observations.shape == (4, 6)
+                values = target_values.update(net, memory, workspace)
+                for slot in range(len(memory)):
+                    held = pushed[len(pushed) - 1 - (len(pushed) - 1 - slot) % 4]
+                    assert memory.live[slot] == (held is not None)
+                    if held is not None:
+                        np.testing.assert_array_equal(memory.observations[memory.next_ids[slot]], held)
+                        assert values[memory.next_ids[slot]] == max_q(net, np.stack([held, held]))[0]
+                if next_state is None:
+                    break
+                state = next_state
+        assert memory.rebuilds > 5
 
 
 class TestAgent:

@@ -37,6 +37,12 @@ class TestActionSpace:
     def test_enumeration_is_stable(self):
         assert enumerate_actions(2) == enumerate_actions(2)
 
+    def test_environments_share_one_action_tuple(self):
+        """Equal actions of two environments are one object, so the
+        transfer-matrix cache matches them by identity, not by __eq__."""
+        noisy = EnvConfig(noise=NoiseSpec(gate_error={GateKind.CNOT: 0.1}))
+        assert CircuitEnv(EnvConfig()).actions is CircuitEnv(noisy).actions is enumerate_actions(2)
+
 
 class TestReset:
     def test_observation_with_readout_error(self):

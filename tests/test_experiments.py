@@ -533,6 +533,7 @@ class TestCli:
 
     @pytest.mark.parametrize("field, value", [
         ("target_update_period", 0),
+        ("min_replay", -1),
         ("epsilon_start", 1.5),
         ("epsilon_decay", 2.0),
         ("epsilon_min", -0.5),

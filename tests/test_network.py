@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import central_differences, finite_difference_max_rel_err
-from qasrl.dqn import Batch, compute_targets
+from qasrl.dqn import Batch, ReplayMemory, TargetValues, Transition, compute_targets
 from qasrl.network import (
     AdamState,
     QNetwork,
@@ -414,12 +414,24 @@ def plain_loss_and_grad(net: QNetwork, x, actions, targets):
     return loss, np.concatenate(pieces)
 
 
-def plain_targets(net: QNetwork, batch: Batch, gamma: float) -> np.ndarray:
-    """TD targets written with one temporary per op, forwarding only the live rows."""
-    targets = batch.rewards.copy()
-    if batch.live.any():
-        targets[batch.live] += gamma * plain_forward(net, batch.next_states[batch.live]).max(axis=1)
+def plain_targets(net: QNetwork, rewards, next_states, live, gamma: float) -> np.ndarray:
+    """TD targets written with one temporary per op, forwarding only the
+    live rows, a lone one twice: a product of 2 or more rows gives each row
+    the same bits, a 1-row product does not."""
+    targets = rewards.copy()
+    rows = next_states[live]
+    if len(rows):
+        best = plain_forward(net, rows if len(rows) > 1 else rows.repeat(2, axis=0)).max(axis=1)
+        targets[live] += gamma * best[:len(rows)]
     return targets
+
+
+def replay_batch(states, actions, rewards, next_states, live) -> tuple[ReplayMemory, Batch]:
+    """A full memory of these transitions in order, and all of it as a Batch."""
+    memory = ReplayMemory(len(rewards))
+    for state, action, reward, next_state, is_live in zip(states, actions, rewards, next_states, live):
+        memory.push(Transition(state, action, reward, next_state if is_live else None))
+    return memory, Batch(memory.states, memory.actions, memory.rewards, memory.next_ids, memory.live)
 
 
 def plain_adam(params, m, v, t, grad, lr, b1, b2, eps):
@@ -433,9 +445,10 @@ def plain_adam(params, m, v, t, grad, lr, b1, b2, eps):
 class TestBitIdenticalToPlainFormulas:
     """The learner computes in place, and must give the same bits as the
     plain formulas above: forward outputs, loss, gradient and the
-    parameters after Adam, on batches of 1 to 64 rows, rows whose hidden
-    units are all dead, pre-activations of exactly 0 and -0.0, and the
-    live subsets of 1 and 63 rows that compute_targets forwards."""
+    parameters after Adam, on batches of 1 to 64 rows and single
+    observations, rows whose hidden units are all dead, pre-activations of
+    exactly 0 and -0.0, and the target values of live subsets of 1, 63 and
+    64 rows."""
 
     ARCHITECTURES = ([6, 64, 64, 12], [6, 16, 12], [4, 8, 8, 8, 3])
     BATCH_SIZES = (1, 63, 64, None)  # None: a random size in 2..64
@@ -462,6 +475,7 @@ class TestBitIdenticalToPlainFormulas:
             assert same_bits(net.forward(x), plain_forward(net, x))
             assert same_bits(net.forward(x[0]), plain_forward(net, x[0]))
             assert same_bits(net.forward(x[:1]), plain_forward(net, x[:1]))
+            assert same_bits(net.forward(x[0]), net.forward(x[:1])[0])  # vector path = 1-row batch path
 
             loss, grad = mse_loss_and_grad(net, x, actions, targets)
             plain_loss, plain_grad = plain_loss_and_grad(net, x, actions, targets)
@@ -515,16 +529,19 @@ class TestBitIdenticalToPlainFormulas:
             net.params[:] += 0.1 * rng.normal(size=net.params.size)
             live = np.zeros(64, dtype=bool)
             live[rng.choice(64, size=n_live, replace=False)] = True
-            batch = Batch(rng.uniform(-1, 1, size=(64, 6)), rng.integers(12, size=64),
-                          rng.normal(size=64), rng.uniform(-1, 1, size=(64, 6)), live)
-            assert same_bits(compute_targets(batch, net, 0.7), plain_targets(net, batch, 0.7))
+            rewards, next_states = rng.normal(size=64), rng.uniform(-1, 1, size=(64, 6))
+            memory, batch = replay_batch(rng.uniform(-1, 1, size=(64, 6)), rng.integers(12, size=64),
+                                         rewards, next_states, live)
+            values = TargetValues(64).update(net, memory, Workspace(net, 64))
+            expected = plain_targets(net, rewards, next_states, live, 0.7)
+            assert same_bits(compute_targets(batch, values, 0.7), expected)
 
     def test_one_workspace_serves_every_batch_size(self):
-        """One workspace per architecture serves target and loss calls of
-        1, 63, 64 and random row counts with 0, 1, all but one or all rows
-        live, in the order optimize makes them, so stale rows of a bigger
-        call are always there; every result equals the plain formulas and
-        a call with fresh buffers."""
+        """One workspace per architecture serves target-value, target and
+        loss calls of 1, 63, 64 and random row counts with 0, 1, all but one
+        or all rows live, in the order optimize makes them, so stale rows of
+        a bigger call are always there; every result equals the plain
+        formulas and a call with fresh buffers."""
         rng = np.random.default_rng(78)
         for sizes in self.ARCHITECTURES:
             net = QNetwork(sizes, rng=rng)
@@ -535,12 +552,15 @@ class TestBitIdenticalToPlainFormulas:
                 live = np.zeros(n, dtype=bool)
                 n_live = (0, 1, n - 1, n, int(rng.integers(0, n + 1)))[trial % 5]
                 live[rng.choice(n, size=n_live, replace=False)] = True
-                batch = Batch(rng.uniform(-1, 1, size=(n, sizes[0])), rng.integers(sizes[-1], size=n),
-                              rng.normal(size=n), rng.uniform(-1, 1, size=(n, sizes[0])), live)
+                rewards, next_states = rng.normal(size=n), rng.uniform(-1, 1, size=(n, sizes[0]))
+                memory, batch = replay_batch(rng.uniform(-1, 1, size=(n, sizes[0])),
+                                             rng.integers(sizes[-1], size=n), rewards, next_states, live)
 
-                expected = plain_targets(net, batch, 0.7)
-                assert same_bits(compute_targets(batch, net, 0.7), expected)
-                targets = compute_targets(batch, net, 0.7, workspace)
+                expected = plain_targets(net, rewards, next_states, live, 0.7)
+                fresh = TargetValues(n).update(net, memory, Workspace(net, n))
+                assert same_bits(compute_targets(batch, fresh, 0.7), expected)
+                values = TargetValues(n).update(net, memory, workspace)
+                targets = compute_targets(batch, values, 0.7, workspace)
                 assert same_bits(targets, expected)
 
                 plain_loss, plain_grad = plain_loss_and_grad(net, batch.states, batch.actions, expected)
