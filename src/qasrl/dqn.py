@@ -111,7 +111,7 @@ class TargetValues:
         for start in range(self.valued, stop, rows):
             end = min(start + rows, stop)
             # A lone id goes beside the one before it, or beside itself.
-            ids = np.arange(end - max(end - start, 2), end).clip(0)
+            ids = np.maximum(np.arange(end - max(end - start, 2), end), 0)
             q = net.forward(memory.observations[ids], workspace)
             self.values[ids] = np.maximum.reduce(q, axis=1, out=workspace.targets[:ids.size])
         self.valued = stop
