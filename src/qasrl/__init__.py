@@ -19,7 +19,6 @@ from .dqn import (
     DQNAgent,
     DQNConfig,
     ReplayMemory,
-    Transition,
     compute_targets,
     optimize,
     select_action_epsilon_greedy,

@@ -1,6 +1,6 @@
 """Deep Q-learning pieces: replay memory, target values, TD targets, action selection.
 
-Terminal transitions store ``next_state=None`` and their target is the
+Terminal transitions are pushed with ``next_state=None``; their target is the
 bare reward; everything else bootstraps through a separate target
 network that is synced only every few episodes.
 """
@@ -14,16 +14,6 @@ import numpy as np
 from .network import AdamState, QNetwork, Workspace, adam_step, clone_parameters, mse_loss_and_grad
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One environment step; ``next_state`` is None when the episode ended."""
-
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray | None
-
-
 class Batch(NamedTuple):
     """Transitions as row-aligned arrays; next_ids count only where live."""
 
@@ -33,40 +23,46 @@ class Batch(NamedTuple):
     next_ids: np.ndarray
     live: np.ndarray
 
+    @classmethod
+    def empty(cls, rows: int, width: int) -> "Batch":
+        """Buffers of ``rows`` rows, none live, every id 0, the rest unset."""
+        return cls(np.empty((rows, width)), np.empty(rows, dtype=int), np.empty(rows),
+                   np.zeros(rows, dtype=int), np.zeros(rows, dtype=bool))
+
 
 class ReplayMemory:
-    """Bounded ring of row arrays, allocated at the first push; push n lands in row n % capacity.
+    """Bounded ring of row arrays, ``width`` entries per observation; push n lands in row n % capacity.
 
     Next states are interned by their exact bytes as rows of ``observations``
     and held by id; a new one that finds every row taken first rebuilds the
     table from the ring's, counted in ``rebuilds``."""
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, width: int):
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self.states = self.actions = self.rewards = self.next_ids = self.live = self.observations = None
+        self.capacity, self.width = capacity, width
+        self.states, self.actions, self.rewards, self.next_ids, self.live = Batch.empty(capacity, width)
+        self.observations = np.empty((capacity, width))
         self.ids: dict[bytes, int] = {}
         self.rebuilds = self._pushes = 0
 
     def __len__(self) -> int:
         return min(self._pushes, self.capacity)
 
-    def push(self, transition: Transition) -> None:
-        if self.states is None:
-            rows, width = self.capacity, len(transition.state)
-            self.states, self.observations = np.empty((rows, width)), np.empty((rows, width))
-            self.actions, self.rewards = np.empty(rows, dtype=int), np.empty(rows)
-            self.next_ids, self.live = np.zeros(rows, dtype=int), np.zeros(rows, dtype=bool)
+    def push(self, state: np.ndarray, action: int, reward: float, next_state: np.ndarray | None) -> None:
+        """Store one step, ``next_state`` None if it ended the episode; a row of the wrong shape changes nothing."""
+        for name, row in (("state", state), ("next state", next_state)):
+            if row is not None and np.shape(row) != (self.width,):
+                raise ValueError(f"{name} has shape {np.shape(row)}, the memory holds {self.width} entries")
         slot = self._pushes % self.capacity
-        self._pushes += 1
-        self.states[slot] = transition.state
-        self.actions[slot] = transition.action
-        self.rewards[slot] = transition.reward
+        self.states[slot] = state
+        self.actions[slot] = action
+        self.rewards[slot] = reward
         self.live[slot] = False  # the overwritten transition no longer references its next state
-        if transition.next_state is not None:
-            self.next_ids[slot] = self._intern(transition.next_state)
+        if next_state is not None:
+            self.next_ids[slot] = self._intern(next_state)
             self.live[slot] = True
+        self._pushes += 1
 
     def _intern(self, observation: np.ndarray) -> int:
         key = np.asarray(observation, dtype=float).tobytes()
@@ -78,27 +74,26 @@ class ReplayMemory:
             self.rebuilds += 1
             self.next_ids[self.live] = [self._intern(row) for row in held]
         new = len(self.ids)
-        self.observations[new] = observation  # first, so a row of the wrong width gets no id
+        self.observations[new] = observation
         self.ids[key] = new
         return new
 
-    def sample(self, k: int, rng: np.random.Generator, workspace: Workspace | None = None) -> Batch:
+    def sample(self, k: int, rng: np.random.Generator, out: Batch | None = None) -> Batch:
         """k distinct transitions, uniformly without replacement; gathered
-        into ``workspace.batch`` (of exactly k rows) or else new arrays."""
-        if k > len(self) or self.states is None:
+        into ``out`` (of exactly k rows) or else new arrays."""
+        if k > len(self):
             raise ValueError(f"cannot sample {k} from {len(self)} transitions")
         idx = rng.choice(len(self), size=k, replace=False)
         columns = (self.states, self.actions, self.rewards, self.next_ids, self.live)
-        outs = (None,) * len(columns) if workspace is None else workspace.batch
         # idx is in range, so take need not buffer its output against an index error.
-        return Batch(*(column.take(idx, 0, out, "clip") for column, out in zip(columns, outs)))
+        return Batch(*(column.take(idx, 0, buffer, "clip") for column, buffer in zip(columns, out or [None] * 5)))
 
 
 class TargetValues:
     """max_a' Q(s', a') under a target network for each next-state id of one
     replay memory.  The first ``valued`` ids hold theirs: set it to 0 when the
-    network's parameters change.  Every product has 2 rows or more, whose bits
-    do not depend on the other rows in it (a 1-row product's do)."""
+    network's parameters change.  Every product, and so the workspace, has 2
+    rows or more, whose bits do not depend on the other rows (a 1-row product's do)."""
 
     def __init__(self, capacity: int):
         self.values, self.valued, self.rebuilds = np.zeros(capacity), 0, 0
@@ -113,7 +108,7 @@ class TargetValues:
             # A lone id goes beside the one before it, or beside itself.
             ids = np.maximum(np.arange(end - max(end - start, 2), end), 0)
             q = net.forward(memory.observations[ids], workspace)
-            self.values[ids] = np.maximum.reduce(q, axis=1, out=workspace.targets[:ids.size])
+            self.values[ids] = np.maximum.reduce(q, axis=1)
         self.valued = stop
         return self.values
 
@@ -163,12 +158,10 @@ class DQNConfig:
                 raise ValueError(f"{name} out of [0, 1): {getattr(self, name)}")
 
 
-def compute_targets(batch: Batch, values: np.ndarray, gamma: float,
-                    workspace: Workspace | None = None) -> np.ndarray:
+def compute_targets(batch: Batch, values: np.ndarray, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
     """r + gamma * max_a' Q(s', a'; target), or just r when terminal, with the
     max read by next-state id from ``values``, a TargetValues table.  The
-    targets are a view of ``workspace.targets``, or else a new array."""
-    out = None if workspace is None else workspace.targets[:len(batch.rewards)]
+    targets go into ``out`` (of the batch's length), or else a new array."""
     # Terminal rows' ids are in range but stale, and their targets are overwritten.
     targets = values.take(batch.next_ids, 0, out, "clip")
     targets *= gamma
@@ -177,27 +170,23 @@ def compute_targets(batch: Batch, values: np.ndarray, gamma: float,
     return targets
 
 
-def optimize(policy_net: QNetwork, target_net: QNetwork, memory: ReplayMemory,
-             config: DQNConfig, adam: AdamState, rng: np.random.Generator,
-             workspace: Workspace | None = None, target_values: TargetValues | None = None) -> float | None:
-    """One replay-sampled gradient step; no-op (None) while memory is short.
+def optimize(agent: "DQNAgent") -> float | None:
+    """One replay-sampled gradient step of ``agent``; no-op (None) while its memory is short.
 
     Returns the pre-step batch loss otherwise; a loss that is not finite
     raises FloatingPointError before the step.  Every stage but Adam's
-    runs in ``workspace`` (of ``config.batch_size`` rows), or in a fresh one.
-    ``target_values`` must hold values under ``target_net``'s parameters;
-    without it the call computes every value anew.
+    runs in the agent's own buffers.
     """
+    config, memory, workspace = agent.config, agent.memory, agent.workspace
     if len(memory) < max(config.batch_size, config.min_replay):
         return None
-    ws = Workspace(policy_net, config.batch_size) if workspace is None else workspace
-    values = (target_values or TargetValues(memory.capacity)).update(target_net, memory, ws)
-    batch = memory.sample(config.batch_size, rng, ws)
-    targets = compute_targets(batch, values, config.gamma, ws)
-    loss, grad = mse_loss_and_grad(policy_net, batch.states, batch.actions, targets, ws)
+    values = agent.target_values.update(agent.target_net, memory, workspace)
+    batch = memory.sample(config.batch_size, agent.rng, agent.batch)
+    targets = compute_targets(batch, values, config.gamma, agent.targets)
+    loss, grad = mse_loss_and_grad(agent.policy_net, batch.states, batch.actions, targets, workspace)
     if not math.isfinite(loss):
         raise FloatingPointError(f"TD loss is {loss}")
-    adam_step(policy_net, adam, grad)
+    adam_step(agent.policy_net, agent.adam, grad)
     return loss
 
 
@@ -224,7 +213,8 @@ def update_target(policy_net: QNetwork, target_net: QNetwork) -> None:
 
 class DQNAgent:
     """Policy net, frozen-ish target net and its value table, replay
-    memory, optimizer state and the workspace every gradient step runs in.
+    memory, optimizer state and the buffers every gradient step runs in:
+    the sampled batch, its targets, and a workspace of 2 rows or more.
 
     The agent owns its own rng for replay sampling so that exploration
     draws elsewhere never shift which batches get sampled.
@@ -237,14 +227,14 @@ class DQNAgent:
         self.policy_net = QNetwork(sizes, rng=rng)
         self.target_net = clone_parameters(self.policy_net)
         self.target_values = TargetValues(config.replay_capacity)
-        self.memory = ReplayMemory(config.replay_capacity)
+        self.memory = ReplayMemory(config.replay_capacity, obs_dim)
         self.adam = AdamState.for_network(self.policy_net, learning_rate=config.learning_rate,
                                           beta1=config.adam_beta1, beta2=config.adam_beta2)
-        self.workspace = Workspace(self.policy_net, config.batch_size)
+        self.batch, self.targets = Batch.empty(config.batch_size, obs_dim), np.empty(config.batch_size)
+        self.workspace = Workspace(self.policy_net, max(config.batch_size, 2))
 
     def learn(self) -> float | None:
-        return optimize(self.policy_net, self.target_net, self.memory, self.config,
-                        self.adam, self.rng, self.workspace, self.target_values)
+        return optimize(self)
 
     def sync_target(self) -> None:
         update_target(self.policy_net, self.target_net)

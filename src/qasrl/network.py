@@ -75,22 +75,17 @@ class QNetwork:
 
 
 class Workspace:
-    """Every buffer of one learner step but Adam's, for ``net``'s
-    architecture on batches of up to ``rows`` rows, allocated once.
+    """Every forward and backward buffer for ``net``'s architecture on
+    batches of up to ``rows`` rows, allocated once.
 
     A target-value refresh finishes before the policy pass starts, so both
     write their activations into the same per-layer buffers, through row
-    slices; it runs at least 2 rows, so every workspace holds at least 2.
-    The gradient is laid out like ``net.params``.
+    slices.  The gradient is laid out like ``net.params``.
     """
 
     def __init__(self, net: QNetwork, rows: int):
-        width, hidden, n_out = net.layer_sizes[0], net.layer_sizes[1:-1], net.layer_sizes[-1]
-        # The sampled replay batch, in dqn.Batch order: states, actions, rewards, next_ids, live.
-        self.batch = (np.empty((rows, width)), np.empty(rows, dtype=int), np.empty(rows),
-                      np.empty(rows, dtype=int), np.empty(rows, dtype=bool))
-        rows = max(rows, 2)
-        self.targets, self.err, self.err_sq = (np.empty(rows) for _ in range(3))
+        hidden, n_out = net.layer_sizes[1:-1], net.layer_sizes[-1]
+        self.err, self.err_sq = np.empty(rows), np.empty(rows)
         self.hidden = [np.empty((rows, n)) for n in hidden]
         self.masks = [np.empty((rows, n), dtype=bool) for n in hidden]
         self.out = np.empty((rows, n_out))

@@ -18,7 +18,6 @@ import numpy as np
 from .dqn import (
     DQNAgent,
     DQNConfig,
-    Transition,
     select_action_epsilon_greedy,
     select_action_greedy,
 )
@@ -132,7 +131,7 @@ def _play_episode(env: CircuitEnv, agent: DQNAgent, choose) -> EpisodeRecord:
         result = env.step(action)
         steps_completed += 1
         next_obs = None if result.done else result.observation
-        agent.memory.push(Transition(obs, action, result.reward, next_obs))
+        agent.memory.push(obs, action, result.reward, next_obs)
         agent.learn()
         obs = result.observation
         if result.done:

@@ -10,77 +10,99 @@ from qasrl.dqn import (
     DQNConfig,
     ReplayMemory,
     TargetValues,
-    Transition,
     compute_targets,
     optimize,
     select_action_epsilon_greedy,
     select_action_greedy,
     update_target,
 )
-from qasrl.network import AdamState, QNetwork, Workspace, clone_parameters, mse_loss_and_grad
+from qasrl.network import QNetwork, Workspace, mse_loss_and_grad
 
 
-def make_transition(value: float, terminal: bool = True, dim: int = 6) -> Transition:
+def make_transition(value: float, terminal: bool = True, dim: int = 6) -> tuple:
+    """(state, action, reward, next_state), as ReplayMemory.push takes them."""
     state = np.full(dim, value)
-    return Transition(state, 0, value, None if terminal else state.copy())
+    return state, 0, value, None if terminal else state.copy()
 
 
-def targets_of(net: QNetwork, gamma: float, *transitions: Transition) -> np.ndarray:
+def targets_of(net: QNetwork, gamma: float, *transitions: tuple) -> np.ndarray:
     """compute_targets over the transitions as one batch, in the order
     given, with their next states valued under ``net``."""
-    memory = ReplayMemory(len(transitions))
+    memory = ReplayMemory(len(transitions), net.layer_sizes[0])
     for t in transitions:
-        memory.push(t)
-    values = TargetValues(memory.capacity).update(net, memory, Workspace(net, len(transitions)))
+        memory.push(*t)
+    values = TargetValues(memory.capacity).update(net, memory, Workspace(net, max(len(transitions), 2)))
     batch = Batch(memory.states, memory.actions, memory.rewards, memory.next_ids, memory.live)
     return compute_targets(batch, values, gamma)
 
 
 class TestReplayMemory:
     def test_overwrites_oldest_when_full(self):
-        memory = ReplayMemory(2)
+        memory = ReplayMemory(2, 6)
         a, b, c = (make_transition(v) for v in (1.0, 2.0, 3.0))
         for t in (a, b, c):
-            memory.push(t)
+            memory.push(*t)
         held = set(memory.rewards[:len(memory)])
         assert held == {2.0, 3.0}
 
     def test_capacity_one(self):
-        memory = ReplayMemory(1)
+        memory = ReplayMemory(1, 6)
         for v in (1.0, 2.0, 3.0):
-            memory.push(make_transition(v))
+            memory.push(*make_transition(v))
         assert len(memory) == 1
         assert memory.rewards[0] == 3.0
 
     def test_length_never_exceeds_capacity(self):
-        memory = ReplayMemory(100)
+        memory = ReplayMemory(100, 6)
         for v in range(250):
-            memory.push(make_transition(float(v)))
+            memory.push(*make_transition(float(v)))
         assert len(memory) == 100
 
     def test_wrap_around_keeps_the_slot_order(self):
         # push n lands in row n % capacity, as the list-backed ring did
-        memory = ReplayMemory(3)
+        memory = ReplayMemory(3, 6)
         for v in range(5):
-            memory.push(make_transition(float(v), terminal=v % 2 == 0))
+            memory.push(*make_transition(float(v), terminal=v % 2 == 0))
         np.testing.assert_array_equal(memory.rewards, [3.0, 4.0, 2.0])
         np.testing.assert_array_equal(memory.live, [True, False, False])
         np.testing.assert_array_equal(memory.states[:, 0], [3.0, 4.0, 2.0])
         np.testing.assert_array_equal(memory.observations[memory.next_ids[0]], np.full(6, 3.0))
 
-    def test_arrays_wait_for_the_first_push(self):
-        memory = ReplayMemory(10_000)
-        assert memory.states is None
-        with pytest.raises(ValueError):
-            memory.sample(0, np.random.default_rng(0))
-        memory.push(make_transition(1.0, dim=4))
+    def test_arrays_are_made_at_the_given_width(self):
+        memory = ReplayMemory(10_000, 4)
+        assert len(memory) == 0
         assert memory.states.shape == memory.observations.shape == (10_000, 4)
         assert memory.actions.shape == memory.rewards.shape == memory.next_ids.shape == memory.live.shape == (10_000,)
+        assert not memory.live.any()
+        memory.push(*make_transition(1.0, terminal=False, dim=4))
+        np.testing.assert_array_equal(memory.observations[memory.next_ids[0]], np.full(4, 1.0))
+
+    @pytest.mark.parametrize("capacity", [8, 2])
+    def test_a_refused_push_changes_nothing(self, capacity):
+        """A state or next state of the wrong width is refused with one line
+        naming it, before anything is written or counted; with capacity 2
+        the refused push would overwrite a held row."""
+        memory = ReplayMemory(capacity, 6)
+        memory.push(*make_transition(1.0, terminal=False))
+        memory.push(*make_transition(2.0, terminal=False))
+        arrays = (memory.states, memory.actions, memory.rewards, memory.next_ids, memory.live, memory.observations)
+        before = [a.copy() for a in arrays]
+        bad = [(np.zeros(5), 0, 3.0, np.ones(6), r"state has shape \(5,\), the memory holds 6 entries$"),
+               (np.zeros(6), 0, 3.0, np.ones(5), r"next state has shape \(5,\), the memory holds 6 entries$"),
+               (np.zeros(6), 0, 3.0, np.ones((6, 1)), r"next state has shape \(6, 1\)")]
+        for *transition, message in bad:
+            with pytest.raises(ValueError, match=f"^{message}"):
+                memory.push(*transition)
+            assert len(memory) == 2 and len(memory.ids) == 2
+            for got, want in zip(arrays, before):
+                np.testing.assert_array_equal(got, want)
+        memory.push(*make_transition(3.0))
+        assert len(memory) == min(3, capacity)
 
     def test_sample_rows_stay_aligned(self):
-        memory = ReplayMemory(20)
+        memory = ReplayMemory(20, 6)
         for v in range(20):
-            memory.push(make_transition(float(v), terminal=v % 3 == 0))
+            memory.push(*make_transition(float(v), terminal=v % 3 == 0))
         batch = memory.sample(12, np.random.default_rng(2))
         np.testing.assert_array_equal(batch.states[:, 0], batch.rewards)
         np.testing.assert_array_equal(batch.live, batch.rewards % 3 != 0)
@@ -88,43 +110,43 @@ class TestReplayMemory:
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
-            ReplayMemory(0)
+            ReplayMemory(0, 6)
 
     def test_sample_whole_buffer(self):
-        memory = ReplayMemory(10)
+        memory = ReplayMemory(10, 6)
         for v in range(10):
-            memory.push(make_transition(float(v)))
+            memory.push(*make_transition(float(v)))
         batch = memory.sample(10, np.random.default_rng(0))
         assert sorted(batch.rewards) == [float(v) for v in range(10)]
 
     def test_sample_without_replacement(self):
-        memory = ReplayMemory(50)
+        memory = ReplayMemory(50, 6)
         for v in range(50):
-            memory.push(make_transition(float(v)))
+            memory.push(*make_transition(float(v)))
         rng = np.random.default_rng(1)
         for _ in range(20):
             batch = memory.sample(30, rng)
             assert len(set(batch.rewards)) == 30
 
     def test_sample_more_than_held_raises(self):
-        memory = ReplayMemory(10)
-        memory.push(make_transition(1.0))
+        memory = ReplayMemory(10, 6)
+        memory.push(*make_transition(1.0))
         with pytest.raises(ValueError):
             memory.sample(2, np.random.default_rng(0))
 
     def test_sample_is_seed_reproducible(self):
-        memory = ReplayMemory(100)
+        memory = ReplayMemory(100, 6)
         for v in range(100):
-            memory.push(make_transition(float(v)))
+            memory.push(*make_transition(float(v)))
         first = memory.sample(64, np.random.default_rng(7)).rewards
         second = memory.sample(64, np.random.default_rng(7)).rewards
         np.testing.assert_array_equal(first, second)
 
     def test_single_draws_are_uniform(self):
         # every element within 5 sigma of the binomial expectation
-        memory = ReplayMemory(100)
+        memory = ReplayMemory(100, 6)
         for v in range(100):
-            memory.push(make_transition(float(v)))
+            memory.push(*make_transition(float(v)))
         rng = np.random.default_rng(3)
         draws = 100_000
         counts = np.zeros(100)
@@ -138,31 +160,31 @@ class TestReplayMemory:
 class TestComputeTargets:
     def test_terminal_is_bare_reward(self):
         net = constant_output_network([5.0, 5.0], 6)
-        targets = targets_of(net, 0.99, Transition(np.zeros(6), 0, 0.97, None))
+        targets = targets_of(net, 0.99, (np.zeros(6), 0, 0.97, None))
         np.testing.assert_allclose(targets, [0.97], atol=1e-12)
 
     def test_bootstraps_through_max(self):
         net = constant_output_network([0.3, 0.7, 0.1], 6)
-        targets = targets_of(net, 0.99, Transition(np.zeros(6), 1, -0.01, np.ones(6)))
+        targets = targets_of(net, 0.99, (np.zeros(6), 1, -0.01, np.ones(6)))
         np.testing.assert_allclose(targets, [-0.01 + 0.99 * 0.7], atol=1e-12)
 
     def test_gamma_zero_ignores_next_state(self):
         net = constant_output_network([9.0, 9.0], 6)
-        targets = targets_of(net, 0.0, Transition(np.zeros(6), 0, 0.5, np.ones(6)))
+        targets = targets_of(net, 0.0, (np.zeros(6), 0, 0.5, np.ones(6)))
         np.testing.assert_allclose(targets, [0.5], atol=1e-12)
 
     def test_zero_target_network(self):
         net = QNetwork([6, 8, 3])
-        targets = targets_of(net, 0.99, Transition(np.zeros(6), 0, -0.01, np.ones(6)))
+        targets = targets_of(net, 0.99, (np.zeros(6), 0, -0.01, np.ones(6)))
         np.testing.assert_allclose(targets, [-0.01], atol=1e-12)
 
     def test_mixed_batch(self):
         net = constant_output_network([1.0, 2.0], 6)
         targets = targets_of(
             net, 0.5,
-            Transition(np.zeros(6), 0, 0.1, np.ones(6)),
-            Transition(np.zeros(6), 1, 0.2, None),
-            Transition(np.zeros(6), 0, 0.3, np.ones(6)),
+            (np.zeros(6), 0, 0.1, np.ones(6)),
+            (np.zeros(6), 1, 0.2, None),
+            (np.zeros(6), 0, 0.3, np.ones(6)),
         )
         np.testing.assert_allclose(targets, [0.1 + 1.0, 0.2, 0.3 + 1.0], atol=1e-12)
 
@@ -267,82 +289,73 @@ class TestUpdateTarget:
 
 
 class TestOptimize:
-    def _setup(self, seed=41, capacity=100):
-        rng = np.random.default_rng(seed)
-        policy = QNetwork([6, 16, 12], rng=rng)
-        target = clone_parameters(policy)
-        memory = ReplayMemory(capacity)
-        config = DQNConfig(batch_size=8, min_replay=8)
-        adam = AdamState.for_network(policy, learning_rate=config.learning_rate)
-        return rng, policy, target, memory, config, adam
+    @staticmethod
+    def _agent(seed=41, capacity=100, **config) -> DQNAgent:
+        """An agent of a [6, 16, 12] network; its rng draws the weights, then the batches."""
+        config = DQNConfig(batch_size=8, min_replay=8, hidden_sizes=(16,), replay_capacity=capacity, **config)
+        return DQNAgent(6, 12, config, np.random.default_rng(seed))
 
     def test_no_op_while_memory_short(self):
-        rng, policy, target, memory, config, adam = self._setup()
+        agent = self._agent()
         for _ in range(7):
-            memory.push(make_transition(0.5))
-        before = [w.copy() for w in policy.weights]
-        assert optimize(policy, target, memory, config, adam, rng) is None
-        assert adam.t == 0
-        for w, prev in zip(policy.weights, before):
+            agent.memory.push(*make_transition(0.5))
+        before = [w.copy() for w in agent.policy_net.weights]
+        assert optimize(agent) is None
+        assert agent.adam.t == 0
+        for w, prev in zip(agent.policy_net.weights, before):
             np.testing.assert_array_equal(w, prev)
 
     def test_zero_error_batch_leaves_parameters_alone(self):
         # zero network, terminal transitions with zero reward: targets
         # and predictions are both zero
-        rng = np.random.default_rng(42)
-        policy = QNetwork([6, 16, 12])
-        target = clone_parameters(policy)
-        memory = ReplayMemory(100)
+        agent = self._agent(seed=42)
+        agent.policy_net.params[:] = 0.0
+        agent.sync_target()
         for _ in range(8):
-            memory.push(Transition(np.zeros(6), 2, 0.0, None))
-        config = DQNConfig(batch_size=8, min_replay=8)
-        adam = AdamState.for_network(policy)
-        loss = optimize(policy, target, memory, config, adam, rng)
+            agent.memory.push(np.zeros(6), 2, 0.0, None)
+        loss = optimize(agent)
         assert loss == 0.0
-        for w in policy.weights:
+        for w in agent.policy_net.weights:
             np.testing.assert_array_equal(w, np.zeros_like(w))
 
     def test_single_repeated_transition_descends(self):
-        rng, policy, target, memory, config, adam = self._setup(seed=43)
+        agent = self._agent(seed=43)
         for _ in range(8):
-            memory.push(Transition(np.ones(6) * 0.5, 3, 1.0, None))
-        first = optimize(policy, target, memory, config, adam, rng)
+            agent.memory.push(np.ones(6) * 0.5, 3, 1.0, None)
+        first = optimize(agent)
         for _ in range(50):
-            last = optimize(policy, target, memory, config, adam, rng)
+            last = optimize(agent)
         assert last < first
 
     def test_full_buffer_batch_descends_monotonically(self):
         # batch = whole buffer and a frozen target make the loss a
         # deterministic function of the policy parameters
-        rng = np.random.default_rng(44)
-        policy = QNetwork([6, 16, 12], rng=rng)
-        target = QNetwork([6, 16, 12])
-        memory = ReplayMemory(8)
-        states = rng.normal(size=(8, 6))
+        agent = self._agent(seed=44, capacity=8, learning_rate=1e-4)
+        agent.target_net.params[:] = 0.0  # before any value is computed under it
+        states = agent.rng.normal(size=(8, 6))
         for i in range(8):
-            memory.push(Transition(states[i], i, float(i) / 8, None))
-        config = DQNConfig(batch_size=8, min_replay=8, learning_rate=1e-4)
-        adam = AdamState.for_network(policy, learning_rate=1e-4)
-        losses = [optimize(policy, target, memory, config, adam, rng) for _ in range(100)]
+            agent.memory.push(states[i], i, float(i) / 8, None)
+        losses = [optimize(agent) for _ in range(100)]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_non_finite_loss_raises_before_the_step(self):
-        rng, policy, target, memory, config, adam = self._setup(seed=46)
+        agent = self._agent(seed=46)
         for i in range(8):
-            memory.push(Transition(np.ones(6) * i, i, 1.0, None))
-        policy.weights[0][0, 0] = np.nan
-        before = policy.params.copy()
+            agent.memory.push(np.ones(6) * i, i, 1.0, None)
+        agent.policy_net.weights[0][0, 0] = np.nan
+        before = agent.policy_net.params.copy()
         with pytest.raises(FloatingPointError, match="TD loss is nan"):
-            optimize(policy, target, memory, config, adam, rng)
-        assert adam.t == 0
-        np.testing.assert_array_equal(policy.params, before)
+            optimize(agent)
+        assert agent.adam.t == 0
+        np.testing.assert_array_equal(agent.policy_net.params, before)
 
     def test_returns_pre_step_loss(self):
-        rng, policy, target, memory, config, adam = self._setup(seed=45)
+        agent = self._agent(seed=45)
+        memory = agent.memory
         for i in range(8):
-            memory.push(Transition(np.ones(6) * i, i, 1.0, None))
-        expected, _ = mse_loss_and_grad(policy, memory.states[:8], memory.actions[:8], memory.rewards[:8])
-        got = optimize(policy, target, memory, config, adam, rng)
+            memory.push(np.ones(6) * i, i, 1.0, None)
+        expected, _ = mse_loss_and_grad(agent.policy_net, memory.states[:8], memory.actions[:8], memory.rewards[:8])
+        got = optimize(agent)
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -365,18 +378,18 @@ class TestTargetValues:
         # 129 ids: two full chunks of 64 and a lone last id
         rng = np.random.default_rng(90)
         for _ in range(10):
-            net, memory = random_net(rng), ReplayMemory(200)
+            net, memory = random_net(rng), ReplayMemory(200, 6)
             for _ in range(129):
-                memory.push(Transition(np.zeros(6), 0, 0.0, rng.uniform(-1, 1, 6)))
+                memory.push(np.zeros(6), 0, 0.0, rng.uniform(-1, 1, 6))
             values = TargetValues(200).update(net, memory, Workspace(net, 64))
             assert values[:129].tobytes() == max_q(net, memory.observations[:129]).tobytes()
 
     def test_one_repeated_next_state_gets_the_two_row_bits(self):
         rng = np.random.default_rng(91)
         for _ in range(20):
-            net, memory, state = random_net(rng), ReplayMemory(64), rng.uniform(-1, 1, 6)
+            net, memory, state = random_net(rng), ReplayMemory(64, 6), rng.uniform(-1, 1, 6)
             for _ in range(64):
-                memory.push(Transition(rng.uniform(-1, 1, 6), 0, 0.0, state.copy()))
+                memory.push(rng.uniform(-1, 1, 6), 0, 0.0, state.copy())
             assert len(memory.ids) == 1
             values = TargetValues(64).update(net, memory, Workspace(net, 64))
             assert values[:1].tobytes() == max_q(net, np.stack([state, state]))[:1].tobytes()
@@ -384,7 +397,7 @@ class TestTargetValues:
     def test_targets_follow_the_target_network_after_sync(self):
         agent, data = DQNAgent(6, 12, DQNConfig(), np.random.default_rng(92)), np.random.default_rng(93)
         for _ in range(100):
-            agent.memory.push(random_transition(data))
+            agent.memory.push(*random_transition(data))
         agent.learn()
         n = len(agent.memory.ids)
         before = agent.target_values.values[:n].copy()
@@ -398,11 +411,11 @@ class TestTargetValues:
     def test_a_next_state_pushed_between_syncs_has_a_value_at_the_next_step(self):
         agent, data = DQNAgent(6, 12, DQNConfig(), np.random.default_rng(94)), np.random.default_rng(95)
         for _ in range(100):
-            agent.memory.push(random_transition(data))
+            agent.memory.push(*random_transition(data))
         agent.learn()
         for _ in range(3):
             new = data.uniform(-1, 1, 6)
-            agent.memory.push(Transition(data.uniform(-1, 1, 6), 0, 0.0, new))
+            agent.memory.push(data.uniform(-1, 1, 6), 0, 0.0, new)
             agent.learn()
             n = len(agent.memory.ids)
             np.testing.assert_array_equal(agent.memory.observations[n - 1], new)
@@ -414,13 +427,13 @@ class TestTargetValues:
         steps; the table rebuilds from the next states still held, and
         every held transition and value stays right."""
         rng = np.random.default_rng(96)
-        net, memory, target_values = random_net(rng), ReplayMemory(4), TargetValues(4)
+        net, memory, target_values = random_net(rng), ReplayMemory(4, 6), TargetValues(4)
         workspace, pushed = Workspace(net, 2), []
         for episode in range(20):
             state = rng.uniform(-1, 1, 6)
             for step in range(int(rng.integers(1, 6))):
                 next_state = None if step == 4 or rng.random() < 0.3 else rng.uniform(-1, 1, 6)
-                memory.push(Transition(state, step, float(episode), next_state))
+                memory.push(state, step, float(episode), next_state)
                 pushed.append(next_state)
                 assert len(memory.ids) <= 4 and memory.observations.shape == (4, 6)
                 values = target_values.update(net, memory, workspace)
@@ -445,7 +458,7 @@ class TestAgent:
 
     def test_learn_is_no_op_until_replay_fills(self):
         agent = DQNAgent(6, 12, DQNConfig(), np.random.default_rng(0))
-        agent.memory.push(make_transition(1.0))
+        agent.memory.push(*make_transition(1.0))
         assert agent.learn() is None
 
     def test_sync_target_copies(self):
@@ -455,25 +468,44 @@ class TestAgent:
         x = np.ones(6)
         np.testing.assert_array_equal(agent.policy_net.forward(x), agent.target_net.forward(x))
 
+    def test_batch_of_one_values_next_states_in_products_of_two_rows(self):
+        """batch_size 1 is allowed, yet every table value, through 100 learn
+        steps and a sync every 10, has the bits of one product of 2 or more
+        rows: the agent's workspace holds 2 rows, not the batch's 1."""
+        agent = DQNAgent(6, 12, DQNConfig(batch_size=1, min_replay=1), np.random.default_rng(10))
+        data = np.random.default_rng(11)
+        for step in range(100):
+            agent.memory.push(*random_transition(data))
+            assert agent.learn() is not None
+            n = len(agent.memory.ids)
+            rows = agent.memory.observations[np.arange(n) if n > 1 else [0, 0]]
+            assert agent.target_values.values[:n].tobytes() == max_q(agent.target_net, rows)[:n].tobytes()
+            if step % 10 == 9:
+                agent.sync_target()
+        assert agent.adam.t == 100 and n > 50
+
     def test_steps_in_one_workspace_match_fresh_buffers(self):
-        """200 learn steps in the agent's one workspace give the same losses,
+        """200 learn steps in the agent's own buffers give the same losses,
         parameters, moments and replay draws, bit for bit, as the same
-        optimize steps with every buffer allocated anew."""
+        optimize steps with a new workspace, batch, targets and value table
+        (which computes every value anew) before each step."""
         def filled_agent():
             agent, data = DQNAgent(6, 12, DQNConfig(), np.random.default_rng(5)), np.random.default_rng(6)
             for _ in range(300):
-                agent.memory.push(random_transition(data))
+                agent.memory.push(*random_transition(data))
             return agent, data
 
         reused, data = filled_agent()
         fresh, _ = filled_agent()
         for step in range(200):
             transition = random_transition(data)
-            reused.memory.push(transition)
-            fresh.memory.push(transition)
+            reused.memory.push(*transition)
+            fresh.memory.push(*transition)
             loss = reused.learn()
-            assert loss == optimize(fresh.policy_net, fresh.target_net, fresh.memory,
-                                    fresh.config, fresh.adam, fresh.rng)
+            fresh.workspace, fresh.targets = Workspace(fresh.policy_net, 64), np.empty(64)
+            fresh.batch = Batch.empty(64, 6)
+            fresh.target_values = TargetValues(fresh.memory.capacity)
+            assert loss == optimize(fresh)
             if step % 10 == 9:
                 reused.sync_target()
                 fresh.sync_target()
@@ -483,11 +515,11 @@ class TestAgent:
         assert reused.rng.random() == fresh.rng.random()
 
 
-def random_transition(rng: np.random.Generator) -> Transition:
-    """A transition with uniform states, one in three terminal."""
+def random_transition(rng: np.random.Generator) -> tuple:
+    """(state, action, reward, next_state) with uniform states, one in three terminal."""
     terminal = rng.random() < 1 / 3
-    return Transition(rng.uniform(-1, 1, 6), int(rng.integers(12)), float(rng.normal()),
-                      None if terminal else rng.uniform(-1, 1, 6))
+    return (rng.uniform(-1, 1, 6), int(rng.integers(12)), float(rng.normal()),
+            None if terminal else rng.uniform(-1, 1, 6))
 
 
 class TestConfigValidation:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import central_differences, finite_difference_max_rel_err
-from qasrl.dqn import Batch, ReplayMemory, TargetValues, Transition, compute_targets
+from qasrl.dqn import Batch, ReplayMemory, TargetValues, compute_targets
 from qasrl.network import (
     AdamState,
     QNetwork,
@@ -428,9 +428,9 @@ def plain_targets(net: QNetwork, rewards, next_states, live, gamma: float) -> np
 
 def replay_batch(states, actions, rewards, next_states, live) -> tuple[ReplayMemory, Batch]:
     """A full memory of these transitions in order, and all of it as a Batch."""
-    memory = ReplayMemory(len(rewards))
+    memory = ReplayMemory(len(rewards), states.shape[1])
     for state, action, reward, next_state, is_live in zip(states, actions, rewards, next_states, live):
-        memory.push(Transition(state, action, reward, next_state if is_live else None))
+        memory.push(state, action, reward, next_state if is_live else None)
     return memory, Batch(memory.states, memory.actions, memory.rewards, memory.next_ids, memory.live)
 
 
@@ -537,16 +537,17 @@ class TestBitIdenticalToPlainFormulas:
             assert same_bits(compute_targets(batch, values, 0.7), expected)
 
     def test_one_workspace_serves_every_batch_size(self):
-        """One workspace per architecture serves target-value, target and
-        loss calls of 1, 63, 64 and random row counts with 0, 1, all but one
-        or all rows live, in the order optimize makes them, so stale rows of
+        """One workspace and one targets buffer per architecture serve
+        target-value, target and loss calls of 1, 63, 64 and random row
+        counts with 0, 1, all but one or all rows live, in the order
+        optimize makes them, so stale rows of
         a bigger call are always there; every result equals the plain
         formulas and a call with fresh buffers."""
         rng = np.random.default_rng(78)
         for sizes in self.ARCHITECTURES:
             net = QNetwork(sizes, rng=rng)
             net.params[:] += 0.1 * rng.normal(size=net.params.size)
-            workspace = Workspace(net, 64)
+            workspace, targets_buffer = Workspace(net, 64), np.empty(64)
             for trial in range(80):
                 n = self.BATCH_SIZES[trial % 4] or int(rng.integers(2, 65))
                 live = np.zeros(n, dtype=bool)
@@ -557,10 +558,10 @@ class TestBitIdenticalToPlainFormulas:
                                              rng.integers(sizes[-1], size=n), rewards, next_states, live)
 
                 expected = plain_targets(net, rewards, next_states, live, 0.7)
-                fresh = TargetValues(n).update(net, memory, Workspace(net, n))
+                fresh = TargetValues(n).update(net, memory, Workspace(net, max(n, 2)))
                 assert same_bits(compute_targets(batch, fresh, 0.7), expected)
                 values = TargetValues(n).update(net, memory, workspace)
-                targets = compute_targets(batch, values, 0.7, workspace)
+                targets = compute_targets(batch, values, 0.7, targets_buffer[:n])
                 assert same_bits(targets, expected)
 
                 plain_loss, plain_grad = plain_loss_and_grad(net, batch.states, batch.actions, expected)
