@@ -18,8 +18,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="train one policy on one environment")
     run_p.add_argument("--config", help="key = value config file; flags override it")
-    run_p.add_argument("--env", type=int, help="environment id (0..5)")
-    run_p.add_argument("--mode", choices=["from_scratch", "ppr"])
+    run_p.add_argument("--env", dest="env_id", type=int, help="environment id")
+    run_p.add_argument("--mode")
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--episodes", type=int)
     run_p.add_argument("--library", help="policy library directory (ppr mode)")
@@ -27,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cur_p = sub.add_parser("curriculum", help="train environments 0..5 in order")
     cur_p.add_argument("--seed", type=int, default=0)
-    cur_p.add_argument("--episodes", type=int, default=1000)
+    cur_p.add_argument("--episodes", type=int, default=ExperimentConfig.episodes)
     cur_p.add_argument("--out", default="runs/curriculum")
     cur_p.add_argument("--resume", action="store_true",
                        help="skip environments that already finished")
@@ -40,17 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    overrides = {
-        "env_id": args.env,
-        "mode": args.mode,
-        "seed": args.seed,
-        "episodes": args.episodes,
-        "library": args.library,
-        "out": args.out,
-    }
-    config = dataclasses.replace(
-        config, **{k: v for k, v in overrides.items() if v is not None}
-    )
+    config = dataclasses.replace(config, **{f.name: value for f in dataclasses.fields(config)
+                                            if (value := getattr(args, f.name, None)) is not None})
     log = run_single(config)
     out = Path(config.out)
     rolling_csv, image = emit_plot(log, out / "scores.png")
@@ -82,7 +73,7 @@ def main(argv=None) -> int:
     handler = {"run": _cmd_run, "curriculum": _cmd_curriculum, "plot": _cmd_plot}[args.command]
     try:
         return handler(args)
-    except (ValueError, OSError, RuntimeError, FloatingPointError) as exc:
+    except (ValueError, OSError, RuntimeError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

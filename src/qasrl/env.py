@@ -27,14 +27,6 @@ from .quantum import (
     pauli_expectations,
 )
 
-_SINGLE_KINDS = (
-    GateKind.ROT_PI4,
-    GateKind.PAULI_X,
-    GateKind.PAULI_Y,
-    GateKind.PAULI_Z,
-    GateKind.HADAMARD,
-)
-
 
 @functools.cache
 def enumerate_actions(n_qubits: int) -> tuple[GateAction, ...]:
@@ -44,7 +36,8 @@ def enumerate_actions(n_qubits: int) -> tuple[GateAction, ...]:
     actions = [
         GateAction(kind, target=q)
         for q in range(n_qubits)
-        for kind in _SINGLE_KINDS
+        for kind in GateKind
+        if kind is not GateKind.CNOT
     ]
     actions += [
         GateAction(GateKind.CNOT, target=j, control=i)
@@ -103,7 +96,6 @@ class CircuitEnv:
         self.config = config
         self.actions = enumerate_actions(config.n_qubits)
         self._state: DensityMatrix | None = None
-        self._steps = 0
         self._done = False
         self._fidelity = 0.0
         self._taken: list[GateAction] = []
@@ -118,7 +110,6 @@ class CircuitEnv:
 
     def reset(self) -> np.ndarray:
         self._state = initial_state(self.config.n_qubits)
-        self._steps = 0
         self._done = False
         self._taken = []
         self._fidelity = fidelity(self._state, self.config.target)
@@ -134,14 +125,13 @@ class CircuitEnv:
             raise ValueError(f"action index {action} out of range 0..{len(self.actions) - 1}")
         gate = self.actions[action]
         self._state = apply_gate(self._state, gate, self.config.noise)
-        self._steps += 1
         self._taken.append(gate)
         self._fidelity = fidelity(self._state, self.config.target)
         if self._fidelity >= self.config.fidelity_threshold:
             self._done = True
             reward = self._fidelity
         else:
-            self._done = self._steps >= self.config.max_steps
+            self._done = len(self._taken) >= self.config.max_steps
             reward = -self.config.step_penalty
         return StepResult(
             observation=pauli_expectations(self._state, self.config.noise),
@@ -157,6 +147,6 @@ class CircuitEnv:
         return EpisodeRecord(
             actions=tuple(self._taken),
             final_fidelity=self._fidelity,
-            steps=self._steps,
-            score=self._fidelity - self.config.step_penalty * self._steps,
+            steps=len(self._taken),
+            score=self._fidelity - self.config.step_penalty * len(self._taken),
         )

@@ -192,11 +192,6 @@ class RunLog:
     def __iter__(self):
         return iter(self.rows)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RunLog):
-            return NotImplemented
-        return self.rows == other.rows
-
     def scores(self) -> np.ndarray:
         return np.array([r.score for r in self.rows])
 
@@ -264,20 +259,21 @@ def _train(config: ExperimentConfig, library: PolicyLibrary) -> tuple[RunLog, QN
     return log, result.policy
 
 
-def run_curriculum(seed: int, output_dir, episodes: int = 1000,
+def run_curriculum(seed: int, output_dir, episodes: int = ExperimentConfig.episodes,
                    resume: bool = False) -> list[tuple[int, RunLog]]:
     """Train environments 0..5 in order, banking each policy.
 
     Env 0 trains from scratch; later ones reuse the library built so far,
-    held in memory.  With ``resume=True``, stages in the saved library
-    are skipped once their config.txt shows this seed and episode count.
+    held in memory, and first save it to their own ``library/`` directory,
+    which their config.txt names, so that file reruns the stage.  With
+    ``resume=True``, stages in the saved library are skipped once their
+    config.txt shows this seed and episode count.
     """
     if seed < 0:
         raise ValueError(f"seed must not be negative, got {seed}")
     out = Path(output_dir)
     library_dir = out / "library"
-    resumed = resume and (library_dir / "manifest.json").exists()
-    library = load_library(library_dir) if resumed else PolicyLibrary()
+    library = load_library(library_dir) if resume and (library_dir / "manifest.json").exists() else PolicyLibrary()
     logs = []
     for env_id in sorted(ENVIRONMENT_NOISE):
         tag = f"env-{env_id}"
@@ -286,12 +282,12 @@ def run_curriculum(seed: int, output_dir, episodes: int = 1000,
         config = ExperimentConfig(
             env_id=env_id,
             mode="from_scratch" if env_id == 0 else "ppr",
-            library=str(library_dir) if env_id > 0 else None,
+            library=str(env_out / "library") if env_id > 0 else None,
             seed=seed * 1000 + env_id,
             episodes=episodes,
             out=str(env_out),
         )
-        if resume and tag in library.tags:
+        if tag in library.tags:
             if not runlog_path.exists():
                 raise RuntimeError(
                     f"library holds {tag} but {runlog_path} is missing; "
@@ -303,6 +299,8 @@ def run_curriculum(seed: int, output_dir, episodes: int = 1000,
                                  f"not the seed {config.seed} and {config.episodes} episodes asked for")
             logs.append((env_id, RunLog.from_csv(runlog_path)))
             continue
+        if config.library:
+            save_library(library, config.library)
         log, policy = _train(config, library)
         library.append(policy, tag)
         save_library(library, library_dir)

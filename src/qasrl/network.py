@@ -107,8 +107,8 @@ def mse_loss_and_grad(net: QNetwork, inputs: np.ndarray, actions: np.ndarray, ta
     overwrites it; without a workspace the call makes a fresh one.
     """
     x = np.asarray(inputs, dtype=float)
-    if x.ndim < 2:
-        x = x.reshape(1, -1)
+    if x.ndim != 2:
+        raise ValueError(f"inputs must be a 2-D batch, got shape {x.shape}")
     acts_idx = np.asarray(actions, dtype=int)
     tgt = np.asarray(targets, dtype=float)
     batch = x.shape[0]
@@ -231,7 +231,8 @@ def save_policy(net: QNetwork, path) -> None:
 
 def load_policy(path) -> QNetwork:
     """Read a save_policy snapshot; a malformed one, a body that does not fit
-    the header's layer sizes included, raises a ValueError naming the file."""
+    the header's layer sizes or a non-finite parameter included, raises a
+    ValueError naming the file."""
     raw = Path(path).read_bytes()
     header_line, newline, blob = raw.partition(b"\n")
     try:
@@ -246,7 +247,9 @@ def load_policy(path) -> QNetwork:
         if len(blob) != 8 * n_params:
             raise ValueError(f"snapshot holds {len(blob) / 8:g} parameters, expected {n_params}")
         net = QNetwork(sizes)
+        net.params[:] = np.frombuffer(blob, dtype="<f8")
+        if not np.isfinite(net.params).all():
+            raise ValueError("snapshot holds non-finite parameters")
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise file_error(path, exc) from None
-    net.params[:] = np.frombuffer(blob, dtype="<f8")
     return net

@@ -32,7 +32,8 @@ _PAULI_1Q = (_I2, _X, _Y, _Z)
 
 
 class GateKind(enum.Enum):
-    """The native gate set: one parameterless rotation, the Paulis, Hadamard, CNOT."""
+    """The native gate set: one parameterless rotation, the Paulis, Hadamard, CNOT.
+    The declaration order is the order of the actions in ``enumerate_actions``."""
 
     ROT_PI4 = "rot_pi4"
     PAULI_X = "x"

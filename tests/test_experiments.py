@@ -162,7 +162,7 @@ class TestRunLog:
         path = tmp_path / "runlog.csv"
         rows.to_csv(path)
         loaded = RunLog.from_csv(path)
-        assert loaded == rows
+        assert loaded.rows == rows.rows
 
     def test_csv_header(self, tmp_path):
         path = tmp_path / "runlog.csv"
@@ -418,8 +418,9 @@ class TestCurriculum:
             curriculum_cut_in_stage_3(monkeypatch, out, 5, episodes)
         else:
             with monkeypatch.context() as patch:
-                # The fourth save follows stage 3, whose own files are then written.
-                raise_on_call(patch, qasrl.experiments, "save_library", 4)
+                # Stages 1..3 each save their own library, then the shared one:
+                # the seventh save follows stage 3, whose own files are then written.
+                raise_on_call(patch, qasrl.experiments, "save_library", 7)
                 with pytest.raises(Interrupted):
                     run_curriculum(seed=5, output_dir=out, episodes=episodes)
             assert (out / "env3" / "policy.qnet").read_bytes() == uninterrupted["env3/policy.qnet"]
@@ -451,6 +452,17 @@ class TestCurriculum:
         results = run_curriculum(seed=3, output_dir=tmp_path / "b", episodes=4, resume=True)
         assert len(results) == 6
         assert tree_bytes(tmp_path / "b") == before
+
+    def test_each_stage_reruns_from_its_config_file(self, tmp_path):
+        """A stage's config.txt names the library as it stood when the stage trained."""
+        out = tmp_path / "cur"
+        run_curriculum(seed=0, output_dir=out, episodes=12)
+        for k in range(6):
+            rerun = tmp_path / f"rerun{k}"
+            assert main(["run", "--config", str(out / f"env{k}" / "config.txt"), "--out", str(rerun)]) == 0
+            assert (rerun / "runlog.csv").read_bytes() == (out / f"env{k}" / "runlog.csv").read_bytes()
+        assert [load_library(out / f"env{k}" / "library").tags for k in range(1, 6)] == [
+            [f"env-{j}" for j in range(k)] for k in range(1, 6)]
 
     def test_library_stays_in_memory(self, tmp_path, monkeypatch):
         calls = []
@@ -513,6 +525,21 @@ class TestCli:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == f"error: {path}: mode must be from_scratch or ppr, got 'foo'\n"
         assert not (tmp_path / "run").exists()
+
+    def test_bad_mode_flag_is_the_configs_one_line_error(self, tmp_path, capsys):
+        assert main(["run", "--mode", "foo", "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "error: mode must be from_scratch or ppr, got 'foo'\n"
+        assert not (tmp_path / "run").exists()
+
+    # 256 PiB and 2.22 EiB: beyond any user address space, so refused at once.
+    @pytest.mark.parametrize("field, value", [("replay_capacity", 2**55), ("hidden1", 2**52)])
+    def test_impossible_allocation_is_one_line_error(self, tmp_path, capsys, field, value):
+        path = config_file_with(tmp_path, field, value)
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run" / "runlog.csv").exists()
 
     def test_bad_config_file_is_one_line_error_naming_it(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

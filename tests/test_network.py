@@ -171,6 +171,12 @@ class TestLossAndGradient:
         with pytest.raises(ValueError):
             mse_loss_and_grad(net, np.ones((1, 6)), np.array([12]), np.array([1.0]))
 
+    @pytest.mark.parametrize("inputs", [np.ones(6), np.float64(1.0)], ids=["1-D", "0-D"])
+    def test_only_a_2d_batch_is_taken(self, inputs):
+        net = QNetwork([6, 16, 12])
+        with pytest.raises(ValueError, match="2-D batch"):
+            mse_loss_and_grad(net, inputs, np.array([0]), np.array([1.0]))
+
 
 def reference_adam(params, grads_seq, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):
     """Scripted Adam on flat copies, independent of the package code."""
@@ -366,8 +372,10 @@ class TestFlatParameters:
     b'{"format_version": 1, "layer_sizes": [6, 10000000, 100000000, 12], "activation": "relu"}\n'
     + b"\0" * 16,
     b'{"format_version": 1, "layer_sizes": [6, 1e400, 12], "activation": "relu"}\n',
+    b'{"format_version": 1, "layer_sizes": [2, 3], "activation": "relu"}\n'
+    + np.array([0.5] * 8 + [np.nan]).astype("<f8").tobytes(),
 ], ids=["no_layer_sizes", "no_activation", "bad_layer_sizes", "not_an_object", "bad_json",
-        "no_newline", "partial_parameter", "oversize_header", "infinite_layer_size"])
+        "no_newline", "partial_parameter", "oversize_header", "infinite_layer_size", "nan_parameter"])
 def test_malformed_snapshot_is_a_value_error_naming_the_file(tmp_path, content):
     path = tmp_path / "broken.qnet"
     path.write_bytes(content)
