@@ -18,6 +18,7 @@ keeps what it measured.
 """
 
 import argparse
+import ctypes
 import json
 import os
 import platform
@@ -80,12 +81,23 @@ def summarize(pairs: list[dict], better: dict[str, str], claim: str | None) -> d
     return out
 
 
+def blas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS runs (SkylakeX, Haswell, ...; it follows
+    OPENBLAS_CORETYPE), or 'unknown' where that library does not name it."""
+    try:
+        corename = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def machine() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     cpu = next((line.split(":", 1)[1].strip() for line in Path("/proc/cpuinfo").read_text().splitlines()
                 if line.startswith("model name")), platform.processor())
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": f"{blas.get('name')} {blas.get('version')}", "cpu": cpu,
+            "blas": f"{blas.get('name')} {blas.get('version')}", "blas_core": blas_core(), "cpu": cpu,
             "cores": os.cpu_count(), "os": platform.system()}
 
 

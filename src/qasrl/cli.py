@@ -42,7 +42,11 @@ def _cmd_run(args) -> int:
     config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     config = dataclasses.replace(config, **{f.name: value for f in dataclasses.fields(config)
                                             if (value := getattr(args, f.name, None)) is not None})
-    log = run_single(config)
+    try:
+        log = run_single(config)
+    except MemoryError as exc:  # numpy's message names none of the settings that sized the arrays
+        sizes = ", ".join(f"{name} = {getattr(config, name)}" for name in ("replay_capacity", "hidden1", "hidden2"))
+        raise MemoryError(f"{args.config}: {sizes}: {exc}" if args.config else f"{sizes}: {exc}") from None
     out = Path(config.out)
     rolling_csv, image = emit_plot(log, out / "scores.png")
     final = log.rolling_mean()[-1] if len(log) else float("nan")

@@ -15,36 +15,37 @@ from .network import AdamState, QNetwork, Workspace, adam_step, clone_parameters
 
 
 class Batch(NamedTuple):
-    """Transitions as row-aligned arrays; next_ids count only where live."""
+    """Transitions as row-aligned arrays."""
 
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
     next_ids: np.ndarray
-    live: np.ndarray
 
     @classmethod
     def empty(cls, rows: int, width: int) -> "Batch":
-        """Buffers of ``rows`` rows, none live, every id 0, the rest unset."""
-        return cls(np.empty((rows, width)), np.empty(rows, dtype=int), np.empty(rows),
-                   np.zeros(rows, dtype=int), np.zeros(rows, dtype=bool))
+        """Buffers of ``rows`` rows, every id 0, the rest unset."""
+        return cls(np.empty((rows, width)), np.empty(rows, dtype=int), np.empty(rows), np.zeros(rows, dtype=int))
 
 
 class ReplayMemory:
     """Bounded ring of row arrays, ``width`` entries per observation; push n lands in row n % capacity.
 
     Next states are interned by their exact bytes as rows of ``observations``
-    and held by id; a new one that finds every row taken first rebuilds the
-    table from the ring's, counted in ``rebuilds``."""
+    and held by id, a step that ended its episode by id ``capacity``; a new one
+    that finds every row taken first rebuilds the table from the ring's,
+    counted in ``rebuilds``, after which every value is computed anew."""
 
     def __init__(self, capacity: int, width: int):
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity, self.width = capacity, width
-        self.states, self.actions, self.rewards, self.next_ids, self.live = Batch.empty(capacity, width)
+        self.states, self.actions, self.rewards, self.next_ids = Batch.empty(capacity, width)
         self.observations = np.empty((capacity, width))
         self.ids: dict[bytes, int] = {}
-        self.rebuilds = self._pushes = 0
+        self.values = np.zeros(capacity + 1)  # zeros: the pages of ids never valued stay untouched
+        self.values[capacity] = -0.0  # r + gamma * -0.0 is r bit for bit; with +0.0 a reward of -0.0 is not
+        self.valued = self.rebuilds = self._pushes = 0
 
     def __len__(self) -> int:
         return min(self._pushes, self.capacity)
@@ -58,10 +59,9 @@ class ReplayMemory:
         self.states[slot] = state
         self.actions[slot] = action
         self.rewards[slot] = reward
-        self.live[slot] = False  # the overwritten transition no longer references its next state
+        self.next_ids[slot] = self.capacity  # the overwritten transition no longer references its next state
         if next_state is not None:
             self.next_ids[slot] = self._intern(next_state)
-            self.live[slot] = True
         self._pushes += 1
 
     def _intern(self, observation: np.ndarray) -> int:
@@ -69,10 +69,11 @@ class ReplayMemory:
         if key in self.ids:
             return self.ids[key]
         if len(self.ids) == self.capacity:
-            held = self.observations[self.next_ids[self.live]]
+            # A full table took ``capacity`` next states, so every ring row is written: no unset id 0 is read.
+            live = self.next_ids != self.capacity
             self.ids.clear()
-            self.rebuilds += 1
-            self.next_ids[self.live] = [self._intern(row) for row in held]
+            self.valued, self.rebuilds = 0, self.rebuilds + 1
+            self.next_ids[live] = [self._intern(row) for row in self.observations[self.next_ids[live]]]
         new = len(self.ids)
         self.observations[new] = observation
         self.ids[key] = new
@@ -84,30 +85,20 @@ class ReplayMemory:
         if k > len(self):
             raise ValueError(f"cannot sample {k} from {len(self)} transitions")
         idx = rng.choice(len(self), size=k, replace=False)
-        columns = (self.states, self.actions, self.rewards, self.next_ids, self.live)
+        columns = (self.states, self.actions, self.rewards, self.next_ids)
         # idx is in range, so take need not buffer its output against an index error.
-        return Batch(*(column.take(idx, 0, buffer, "clip") for column, buffer in zip(columns, out or [None] * 5)))
+        return Batch(*(column.take(idx, 0, buffer, "clip") for column, buffer in zip(columns, out or [None] * 4)))
 
-
-class TargetValues:
-    """max_a' Q(s', a') under a target network for each next-state id of one
-    replay memory.  The first ``valued`` ids hold theirs: set it to 0 when the
-    network's parameters change.  Every product, and so the workspace, has 2
-    rows or more, whose bits do not depend on the other rows (a 1-row product's do)."""
-
-    def __init__(self, capacity: int):
-        self.values, self.valued, self.rebuilds = np.zeros(capacity), 0, 0
-
-    def update(self, net: QNetwork, memory: ReplayMemory, workspace: Workspace) -> np.ndarray:
-        """The values, after computing those of ids new since the last call, or all after a rebuild."""
-        if self.rebuilds != memory.rebuilds:
-            self.valued, self.rebuilds = 0, memory.rebuilds
-        stop, rows = len(memory.ids), len(workspace.out)
+    def next_values(self, net: QNetwork, workspace: Workspace) -> np.ndarray:
+        """``values``, each id's max-Q under ``net``, after computing those from id ``valued`` on
+        (set to 0 when ``net`` changes) in chunks of the workspace's rows.  Every product, and so
+        the workspace, has 2 rows or more, whose bits do not depend on the other rows (a 1-row product's do)."""
+        stop, rows = len(self.ids), len(workspace.out)
         for start in range(self.valued, stop, rows):
             end = min(start + rows, stop)
             # A lone id goes beside the one before it, or beside itself.
             ids = np.maximum(np.arange(end - max(end - start, 2), end), 0)
-            q = net.forward(memory.observations[ids], workspace)
+            q = net.forward(self.observations[ids], workspace)
             self.values[ids] = np.maximum.reduce(q, axis=1)
         self.valued = stop
         return self.values
@@ -160,13 +151,11 @@ class DQNConfig:
 
 def compute_targets(batch: Batch, values: np.ndarray, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
     """r + gamma * max_a' Q(s', a'; target), or just r when terminal, with the
-    max read by next-state id from ``values``, a TargetValues table.  The
+    max read by next-state id from a ReplayMemory's ``values``.  The
     targets go into ``out`` (of the batch's length), or else a new array."""
-    # Terminal rows' ids are in range but stale, and their targets are overwritten.
     targets = values.take(batch.next_ids, 0, out, "clip")
     targets *= gamma
     targets += batch.rewards
-    np.copyto(targets, batch.rewards, where=~batch.live)
     return targets
 
 
@@ -180,7 +169,7 @@ def optimize(agent: "DQNAgent") -> float | None:
     config, memory, workspace = agent.config, agent.memory, agent.workspace
     if len(memory) < max(config.batch_size, config.min_replay):
         return None
-    values = agent.target_values.update(agent.target_net, memory, workspace)
+    values = memory.next_values(agent.target_net, workspace)
     batch = memory.sample(config.batch_size, agent.rng, agent.batch)
     targets = compute_targets(batch, values, config.gamma, agent.targets)
     loss, grad = mse_loss_and_grad(agent.policy_net, batch.states, batch.actions, targets, workspace)
@@ -212,8 +201,8 @@ def update_target(policy_net: QNetwork, target_net: QNetwork) -> None:
 
 
 class DQNAgent:
-    """Policy net, frozen-ish target net and its value table, replay
-    memory, optimizer state and the buffers every gradient step runs in:
+    """Policy net, frozen-ish target net, replay memory with its target
+    values, optimizer state and the buffers every gradient step runs in:
     the sampled batch, its targets, and a workspace of 2 rows or more.
 
     The agent owns its own rng for replay sampling so that exploration
@@ -226,7 +215,6 @@ class DQNAgent:
         sizes = [obs_dim, *config.hidden_sizes, n_actions]
         self.policy_net = QNetwork(sizes, rng=rng)
         self.target_net = clone_parameters(self.policy_net)
-        self.target_values = TargetValues(config.replay_capacity)
         self.memory = ReplayMemory(config.replay_capacity, obs_dim)
         self.adam = AdamState.for_network(self.policy_net, learning_rate=config.learning_rate,
                                           beta1=config.adam_beta1, beta2=config.adam_beta2)
@@ -238,4 +226,4 @@ class DQNAgent:
 
     def sync_target(self) -> None:
         update_target(self.policy_net, self.target_net)
-        self.target_values.valued = 0  # every value was under the old parameters
+        self.memory.valued = 0  # every value was under the old parameters

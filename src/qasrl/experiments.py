@@ -271,7 +271,7 @@ def run_curriculum(seed: int, output_dir, episodes: int = ExperimentConfig.episo
     """
     if seed < 0:
         raise ValueError(f"seed must not be negative, got {seed}")
-    out = Path(output_dir)
+    out = Path(output_dir).absolute()  # stage configs name their library by a path valid from anywhere
     library_dir = out / "library"
     library = load_library(library_dir) if resume and (library_dir / "manifest.json").exists() else PolicyLibrary()
     logs = []

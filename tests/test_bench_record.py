@@ -1,14 +1,17 @@
-"""scripts/bench_record.py: its seed specs, and the pair rule that decides
-whether a claimed gain is met."""
+"""scripts/bench_record.py: its seed specs, the pair rule that decides
+whether a claimed gain is met, and the BLAS kernel a record names."""
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_record", Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py")
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
+_SPEC = importlib.util.spec_from_file_location("bench_record", SCRIPT)
 bench_record = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_record)
 
@@ -44,3 +47,20 @@ def test_claim_needs_nine_of_ten_pairs_and_a_gap_beyond_the_quartiles(better, ga
     assert row["change_better_pairs"] == sum(gain > 0 for gain in gains)
     assert row["ties"] == gains.count(0.0)
     assert "claim_met" not in bench_record.summarize(pairs, {"m": better}, None)["m"]
+
+
+def test_machine_names_the_blas_kernel_in_use():
+    """The kernel follows OPENBLAS_CORETYPE, read in a fresh process; Nehalem's kernel needs only SSE4.2."""
+    if bench_record.blas_core() == "unknown":
+        pytest.skip("this numpy's BLAS does not name its kernel")
+    assert bench_record.machine()["blas_core"] == bench_record.blas_core()
+    load = ("import importlib.util, sys; spec = importlib.util.spec_from_file_location('b', sys.argv[1]); "
+            "module = importlib.util.module_from_spec(spec); spec.loader.exec_module(module); print(module.blas_core())")
+    forced = subprocess.run([sys.executable, "-c", load, str(SCRIPT)], capture_output=True, text=True, check=True,
+                            env={**os.environ, "OPENBLAS_CORETYPE": "Nehalem"})
+    assert forced.stdout == "Nehalem\n"
+
+
+def test_blas_kernel_is_unknown_where_the_library_does_not_name_it(monkeypatch):
+    monkeypatch.setattr(bench_record.ctypes, "CDLL", lambda path: object())
+    assert bench_record.blas_core() == "unknown"

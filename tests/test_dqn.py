@@ -9,7 +9,6 @@ from qasrl.dqn import (
     DQNAgent,
     DQNConfig,
     ReplayMemory,
-    TargetValues,
     compute_targets,
     optimize,
     select_action_epsilon_greedy,
@@ -31,8 +30,8 @@ def targets_of(net: QNetwork, gamma: float, *transitions: tuple) -> np.ndarray:
     memory = ReplayMemory(len(transitions), net.layer_sizes[0])
     for t in transitions:
         memory.push(*t)
-    values = TargetValues(memory.capacity).update(net, memory, Workspace(net, max(len(transitions), 2)))
-    batch = Batch(memory.states, memory.actions, memory.rewards, memory.next_ids, memory.live)
+    values = memory.next_values(net, Workspace(net, max(len(transitions), 2)))
+    batch = Batch(memory.states, memory.actions, memory.rewards, memory.next_ids)
     return compute_targets(batch, values, gamma)
 
 
@@ -64,7 +63,7 @@ class TestReplayMemory:
         for v in range(5):
             memory.push(*make_transition(float(v), terminal=v % 2 == 0))
         np.testing.assert_array_equal(memory.rewards, [3.0, 4.0, 2.0])
-        np.testing.assert_array_equal(memory.live, [True, False, False])
+        np.testing.assert_array_equal(memory.next_ids != memory.capacity, [True, False, False])
         np.testing.assert_array_equal(memory.states[:, 0], [3.0, 4.0, 2.0])
         np.testing.assert_array_equal(memory.observations[memory.next_ids[0]], np.full(6, 3.0))
 
@@ -72,9 +71,10 @@ class TestReplayMemory:
         memory = ReplayMemory(10_000, 4)
         assert len(memory) == 0
         assert memory.states.shape == memory.observations.shape == (10_000, 4)
-        assert memory.actions.shape == memory.rewards.shape == memory.next_ids.shape == memory.live.shape == (10_000,)
-        assert not memory.live.any()
+        assert memory.actions.shape == memory.rewards.shape == memory.next_ids.shape == (10_000,)
+        assert memory.values.shape == (10_001,)
         memory.push(*make_transition(1.0, terminal=False, dim=4))
+        assert memory.next_ids[0] != memory.capacity
         np.testing.assert_array_equal(memory.observations[memory.next_ids[0]], np.full(4, 1.0))
 
     @pytest.mark.parametrize("capacity", [8, 2])
@@ -85,7 +85,7 @@ class TestReplayMemory:
         memory = ReplayMemory(capacity, 6)
         memory.push(*make_transition(1.0, terminal=False))
         memory.push(*make_transition(2.0, terminal=False))
-        arrays = (memory.states, memory.actions, memory.rewards, memory.next_ids, memory.live, memory.observations)
+        arrays = (memory.states, memory.actions, memory.rewards, memory.next_ids, memory.observations, memory.values)
         before = [a.copy() for a in arrays]
         bad = [(np.zeros(5), 0, 3.0, np.ones(6), r"state has shape \(5,\), the memory holds 6 entries$"),
                (np.zeros(6), 0, 3.0, np.ones(5), r"next state has shape \(5,\), the memory holds 6 entries$"),
@@ -105,8 +105,9 @@ class TestReplayMemory:
             memory.push(*make_transition(float(v), terminal=v % 3 == 0))
         batch = memory.sample(12, np.random.default_rng(2))
         np.testing.assert_array_equal(batch.states[:, 0], batch.rewards)
-        np.testing.assert_array_equal(batch.live, batch.rewards % 3 != 0)
-        np.testing.assert_array_equal(memory.observations[batch.next_ids[batch.live], 0], batch.rewards[batch.live])
+        live = batch.next_ids != memory.capacity
+        np.testing.assert_array_equal(live, batch.rewards % 3 != 0)
+        np.testing.assert_array_equal(memory.observations[batch.next_ids[live], 0], batch.rewards[live])
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
@@ -159,9 +160,11 @@ class TestReplayMemory:
 
 class TestComputeTargets:
     def test_terminal_is_bare_reward(self):
+        """Bit for bit, the sign of a zero reward and an infinite one included."""
         net = constant_output_network([5.0, 5.0], 6)
-        targets = targets_of(net, 0.99, (np.zeros(6), 0, 0.97, None))
-        np.testing.assert_allclose(targets, [0.97], atol=1e-12)
+        for reward in (0.97, -0.0, 0.0, np.inf, -np.inf):
+            targets = targets_of(net, 0.99, (np.zeros(6), 0, reward, None))
+            assert targets.tobytes() == np.array([reward]).tobytes()
 
     def test_bootstraps_through_max(self):
         net = constant_output_network([0.3, 0.7, 0.1], 6)
@@ -381,7 +384,7 @@ class TestTargetValues:
             net, memory = random_net(rng), ReplayMemory(200, 6)
             for _ in range(129):
                 memory.push(np.zeros(6), 0, 0.0, rng.uniform(-1, 1, 6))
-            values = TargetValues(200).update(net, memory, Workspace(net, 64))
+            values = memory.next_values(net, Workspace(net, 64))
             assert values[:129].tobytes() == max_q(net, memory.observations[:129]).tobytes()
 
     def test_one_repeated_next_state_gets_the_two_row_bits(self):
@@ -391,7 +394,7 @@ class TestTargetValues:
             for _ in range(64):
                 memory.push(rng.uniform(-1, 1, 6), 0, 0.0, state.copy())
             assert len(memory.ids) == 1
-            values = TargetValues(64).update(net, memory, Workspace(net, 64))
+            values = memory.next_values(net, Workspace(net, 64))
             assert values[:1].tobytes() == max_q(net, np.stack([state, state]))[:1].tobytes()
 
     def test_targets_follow_the_target_network_after_sync(self):
@@ -400,11 +403,11 @@ class TestTargetValues:
             agent.memory.push(*random_transition(data))
         agent.learn()
         n = len(agent.memory.ids)
-        before = agent.target_values.values[:n].copy()
+        before = agent.memory.values[:n].copy()
         agent.policy_net.params[:] += 0.01 * data.normal(size=agent.policy_net.params.size)
         agent.sync_target()
         agent.learn()
-        after = agent.target_values.values[:n]
+        after = agent.memory.values[:n]
         assert after.tobytes() == max_q(agent.target_net, agent.memory.observations[:n]).tobytes()
         assert not np.array_equal(after, before)
 
@@ -419,15 +422,15 @@ class TestTargetValues:
             agent.learn()
             n = len(agent.memory.ids)
             np.testing.assert_array_equal(agent.memory.observations[n - 1], new)
-            assert agent.target_values.valued == n
-            assert agent.target_values.values[n - 1] == max_q(agent.target_net, agent.memory.observations[:n])[-1]
+            assert agent.memory.valued == n
+            assert agent.memory.values[n - 1] == max_q(agent.target_net, agent.memory.observations[:n])[-1]
 
     def test_table_stays_within_the_ring_capacity(self):
         """A ring of 4 sees 60 distinct next states in episodes of 1 to 5
         steps; the table rebuilds from the next states still held, and
         every held transition and value stays right."""
         rng = np.random.default_rng(96)
-        net, memory, target_values = random_net(rng), ReplayMemory(4, 6), TargetValues(4)
+        net, memory = random_net(rng), ReplayMemory(4, 6)
         workspace, pushed = Workspace(net, 2), []
         for episode in range(20):
             state = rng.uniform(-1, 1, 6)
@@ -436,10 +439,10 @@ class TestTargetValues:
                 memory.push(state, step, float(episode), next_state)
                 pushed.append(next_state)
                 assert len(memory.ids) <= 4 and memory.observations.shape == (4, 6)
-                values = target_values.update(net, memory, workspace)
+                values = memory.next_values(net, workspace)
                 for slot in range(len(memory)):
                     held = pushed[len(pushed) - 1 - (len(pushed) - 1 - slot) % 4]
-                    assert memory.live[slot] == (held is not None)
+                    assert (memory.next_ids[slot] != memory.capacity) == (held is not None)
                     if held is not None:
                         np.testing.assert_array_equal(memory.observations[memory.next_ids[slot]], held)
                         assert values[memory.next_ids[slot]] == max_q(net, np.stack([held, held]))[0]
@@ -479,7 +482,7 @@ class TestAgent:
             assert agent.learn() is not None
             n = len(agent.memory.ids)
             rows = agent.memory.observations[np.arange(n) if n > 1 else [0, 0]]
-            assert agent.target_values.values[:n].tobytes() == max_q(agent.target_net, rows)[:n].tobytes()
+            assert agent.memory.values[:n].tobytes() == max_q(agent.target_net, rows)[:n].tobytes()
             if step % 10 == 9:
                 agent.sync_target()
         assert agent.adam.t == 100 and n > 50
@@ -487,8 +490,8 @@ class TestAgent:
     def test_steps_in_one_workspace_match_fresh_buffers(self):
         """200 learn steps in the agent's own buffers give the same losses,
         parameters, moments and replay draws, bit for bit, as the same
-        optimize steps with a new workspace, batch, targets and value table
-        (which computes every value anew) before each step."""
+        optimize steps with a new workspace, batch and targets, and every
+        target value computed anew, before each step."""
         def filled_agent():
             agent, data = DQNAgent(6, 12, DQNConfig(), np.random.default_rng(5)), np.random.default_rng(6)
             for _ in range(300):
@@ -504,7 +507,7 @@ class TestAgent:
             loss = reused.learn()
             fresh.workspace, fresh.targets = Workspace(fresh.policy_net, 64), np.empty(64)
             fresh.batch = Batch.empty(64, 6)
-            fresh.target_values = TargetValues(fresh.memory.capacity)
+            fresh.memory.valued = 0
             assert loss == optimize(fresh)
             if step % 10 == 9:
                 reused.sync_target()

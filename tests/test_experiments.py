@@ -464,6 +464,18 @@ class TestCurriculum:
         assert [load_library(out / f"env{k}" / "library").tags for k in range(1, 6)] == [
             [f"env-{j}" for j in range(k)] for k in range(1, 6)]
 
+    def test_stages_rerun_from_another_directory(self, tmp_path, monkeypatch):
+        """Run with a relative output directory, each stage's config.txt still
+        finds its library when rerun from another working directory."""
+        monkeypatch.chdir(tmp_path)
+        run_curriculum(seed=0, output_dir="a/cur", episodes=12)
+        (tmp_path / "b").mkdir()
+        monkeypatch.chdir(tmp_path / "b")
+        for k in range(6):
+            assert main(["run", "--config", f"../a/cur/env{k}/config.txt", "--out", f"rerun{k}"]) == 0
+            assert (tmp_path / "b" / f"rerun{k}" / "runlog.csv").read_bytes() == (
+                tmp_path / "a" / "cur" / f"env{k}" / "runlog.csv").read_bytes()
+
     def test_library_stays_in_memory(self, tmp_path, monkeypatch):
         calls = []
 
@@ -537,7 +549,9 @@ class TestCli:
         path = config_file_with(tmp_path, field, value)
         assert main(["run", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: Unable to allocate ")
+        sizes = {"replay_capacity": 10_000, "hidden1": 8, "hidden2": 8, field: value}  # tiny_config's, and the one set
+        assert err.startswith(f"error: {path}: replay_capacity = {sizes['replay_capacity']}, "
+                              f"hidden1 = {sizes['hidden1']}, hidden2 = {sizes['hidden2']}: Unable to allocate ")
         assert err.count("\n") == 1
         assert not (tmp_path / "run" / "runlog.csv").exists()
 

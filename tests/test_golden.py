@@ -4,6 +4,12 @@ runs, and of the default ``config.txt``.
 A refactor that keeps the numerics keeps these checksums.  A change that
 alters the numerics on purpose records the new checksums here and says
 why in CHANGES.md.
+
+The pins hold on numpy's bundled OpenBLAS (0.3.31) under its SkylakeX,
+Haswell and Zen kernels, but not under a kernel without fused
+multiply-add, such as Sandybridge or Prescott (``OPENBLAS_CORETYPE``):
+there ``test_from_scratch_run`` gets other bytes.
+``scripts/bench_record.py`` records the kernel a benchmark ran on.
 """
 
 import copy

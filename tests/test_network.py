@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import central_differences, finite_difference_max_rel_err
-from qasrl.dqn import Batch, ReplayMemory, TargetValues, compute_targets
+from qasrl.dqn import Batch, ReplayMemory, compute_targets
 from qasrl.network import (
     AdamState,
     QNetwork,
@@ -439,7 +439,7 @@ def replay_batch(states, actions, rewards, next_states, live) -> tuple[ReplayMem
     memory = ReplayMemory(len(rewards), states.shape[1])
     for state, action, reward, next_state, is_live in zip(states, actions, rewards, next_states, live):
         memory.push(state, action, reward, next_state if is_live else None)
-    return memory, Batch(memory.states, memory.actions, memory.rewards, memory.next_ids, memory.live)
+    return memory, Batch(memory.states, memory.actions, memory.rewards, memory.next_ids)
 
 
 def plain_adam(params, m, v, t, grad, lr, b1, b2, eps):
@@ -540,7 +540,7 @@ class TestBitIdenticalToPlainFormulas:
             rewards, next_states = rng.normal(size=64), rng.uniform(-1, 1, size=(64, 6))
             memory, batch = replay_batch(rng.uniform(-1, 1, size=(64, 6)), rng.integers(12, size=64),
                                          rewards, next_states, live)
-            values = TargetValues(64).update(net, memory, Workspace(net, 64))
+            values = memory.next_values(net, Workspace(net, 64))
             expected = plain_targets(net, rewards, next_states, live, 0.7)
             assert same_bits(compute_targets(batch, values, 0.7), expected)
 
@@ -566,9 +566,10 @@ class TestBitIdenticalToPlainFormulas:
                                              rng.integers(sizes[-1], size=n), rewards, next_states, live)
 
                 expected = plain_targets(net, rewards, next_states, live, 0.7)
-                fresh = TargetValues(n).update(net, memory, Workspace(net, max(n, 2)))
+                fresh = memory.next_values(net, Workspace(net, max(n, 2))).copy()
                 assert same_bits(compute_targets(batch, fresh, 0.7), expected)
-                values = TargetValues(n).update(net, memory, workspace)
+                memory.valued = 0
+                values = memory.next_values(net, workspace)
                 targets = compute_targets(batch, values, 0.7, targets_buffer[:n])
                 assert same_bits(targets, expected)
 
