@@ -28,9 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cur_p = sub.add_parser("curriculum", help="train environments 0..5 in order")
     cur_p.add_argument("--seed", type=int, default=0)
     cur_p.add_argument("--episodes", type=int, default=ExperimentConfig.episodes)
-    cur_p.add_argument("--out", default="runs/curriculum")
-    cur_p.add_argument("--resume", action="store_true",
-                       help="skip environments that already finished")
+    cur_p.add_argument("--out", default="runs/curriculum", help="output directory; its finished stages are kept")
 
     plot_p = sub.add_parser("plot", help="render a score plot from a run log")
     plot_p.add_argument("--log", required=True, help="runlog.csv to read")
@@ -43,7 +41,7 @@ def _cmd_run(args) -> int:
     config = dataclasses.replace(config, **{f.name: value for f in dataclasses.fields(config)
                                             if (value := getattr(args, f.name, None)) is not None})
     try:
-        log = run_single(config)
+        log, _ = run_single(config)
     except MemoryError as exc:  # numpy's message names none of the settings that sized the arrays
         sizes = ", ".join(f"{name} = {getattr(config, name)}" for name in ("replay_capacity", "hidden1", "hidden2"))
         raise MemoryError(f"{args.config}: {sizes}: {exc}" if args.config else f"{sizes}: {exc}") from None
@@ -57,7 +55,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_curriculum(args) -> int:
-    logs = run_curriculum(args.seed, args.out, episodes=args.episodes, resume=args.resume)
+    logs = run_curriculum(args.seed, args.out, episodes=args.episodes)
     for env_id, log in logs:
         final = log.rolling_mean()[-1] if len(log) else float("nan")
         print(f"env {env_id}: {len(log)} episodes, final rolling-mean score {final:.4f}")

@@ -7,6 +7,7 @@ environments reuse.
 """
 
 import dataclasses
+import os
 import struct
 import types
 import typing
@@ -111,7 +112,9 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
     def to_file(self, path) -> None:
-        write_file(path, self.to_text().encode("utf-8"))
+        """to_text, with ``library`` named relative to the file's directory."""
+        library = self.library and os.path.relpath(self.library, Path(path).parent)
+        write_file(path, dataclasses.replace(self, library=library).to_text().encode("utf-8"))
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -139,11 +142,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        """from_text on a file's content; a malformed one raises a ValueError naming the file."""
+        """from_text on a file's content, ``library`` taken relative to the file; errors name the file."""
         try:
-            return cls.from_text(Path(path).read_text())
+            config = cls.from_text(Path(path).read_text())
         except ValueError as exc:
             raise file_error(path, exc) from None
+        if config.library:
+            config.library = os.path.normpath(os.path.join(os.path.dirname(path), config.library))
+        return config
 
     def env_config(self) -> EnvConfig:
         """The numbered environment with this config's environment fields laid
@@ -241,14 +247,11 @@ class RunLog:
         return np.ldexp((sums[idx + 1] - sums[lo]) / (idx + 1 - lo), shift)
 
 
-def run_single(config: ExperimentConfig) -> RunLog:
-    """Execute one run and write runlog.csv, policy.qnet and config.txt
-    under config.out; a ppr run reuses the library at config.library."""
-    return _train(config, load_library(config.library) if config.library else PolicyLibrary())[0]
-
-
-def _train(config: ExperimentConfig, library: PolicyLibrary) -> tuple[RunLog, QNetwork]:
-    """run_single's training and three files, with ``library`` for reuse; returns (log, policy)."""
+def run_single(config: ExperimentConfig, library: PolicyLibrary | None = None) -> tuple[RunLog, QNetwork]:
+    """Execute one run, write runlog.csv, policy.qnet and config.txt under config.out and
+    return (log, policy); a ppr run reuses ``library``, by default the one at config.library."""
+    if library is None:
+        library = load_library(config.library) if config.library else PolicyLibrary()
     env = CircuitEnv(config.env_config())
     result = ppr_run(env, library, config.ppr_config(), np.random.default_rng(config.seed))
     out = Path(config.out)
@@ -259,21 +262,21 @@ def _train(config: ExperimentConfig, library: PolicyLibrary) -> tuple[RunLog, QN
     return log, result.policy
 
 
-def run_curriculum(seed: int, output_dir, episodes: int = ExperimentConfig.episodes,
-                   resume: bool = False) -> list[tuple[int, RunLog]]:
+def run_curriculum(seed: int, output_dir, episodes: int = ExperimentConfig.episodes) -> list[tuple[int, RunLog]]:
     """Train environments 0..5 in order, banking each policy.
 
     Env 0 trains from scratch; later ones reuse the library built so far,
     held in memory, and first save it to their own ``library/`` directory,
-    which their config.txt names, so that file reruns the stage.  With
-    ``resume=True``, stages in the saved library are skipped once their
-    config.txt shows this seed and episode count.
+    which their config.txt names, so that file reruns the stage.  A stage
+    whose tag the output directory's library holds is skipped once its
+    config.txt shows this seed and episode count; its log is read back from
+    runlog.csv, at 12 significant digits.
     """
     if seed < 0:
         raise ValueError(f"seed must not be negative, got {seed}")
-    out = Path(output_dir).absolute()  # stage configs name their library by a path valid from anywhere
+    out = Path(output_dir)
     library_dir = out / "library"
-    library = load_library(library_dir) if resume and (library_dir / "manifest.json").exists() else PolicyLibrary()
+    library = load_library(library_dir) if (library_dir / "manifest.json").exists() else PolicyLibrary()
     logs = []
     for env_id in sorted(ENVIRONMENT_NOISE):
         tag = f"env-{env_id}"
@@ -289,19 +292,18 @@ def run_curriculum(seed: int, output_dir, episodes: int = ExperimentConfig.episo
         )
         if tag in library.tags:
             if not runlog_path.exists():
-                raise RuntimeError(
-                    f"library holds {tag} but {runlog_path} is missing; "
-                    "delete the output directory to restart"
-                )
+                raise RuntimeError(f"library holds {tag} but {runlog_path} is missing; "
+                                   "delete the output directory to restart")
             done = ExperimentConfig.from_file(config_path)
             if (done.seed, done.episodes) != (config.seed, config.episodes):
                 raise ValueError(f"{config_path}: ran with seed {done.seed} and {done.episodes} episodes, "
-                                 f"not the seed {config.seed} and {config.episodes} episodes asked for")
+                                 f"not the seed {config.seed} and {config.episodes} episodes asked for; "
+                                 "delete the output directory to start over")
             logs.append((env_id, RunLog.from_csv(runlog_path)))
             continue
         if config.library:
             save_library(library, config.library)
-        log, policy = _train(config, library)
+        log, policy = run_single(config, library)
         library.append(policy, tag)
         save_library(library, library_dir)
         logs.append((env_id, log))

@@ -99,6 +99,17 @@ class TestExperimentConfig:
         config.to_file(path)
         assert ExperimentConfig.from_file(path) == config
 
+    def test_file_names_its_library_relative_to_itself(self, tmp_path, monkeypatch):
+        config = ExperimentConfig(env_id=1, mode="ppr", library=str(tmp_path / "lib"))
+        config.to_file(tmp_path / "run" / "config.txt")
+        assert "library = ../lib\n" in (tmp_path / "run" / "config.txt").read_text()
+        assert ExperimentConfig.from_file(tmp_path / "run" / "config.txt") == config
+        monkeypatch.chdir(tmp_path / "run")
+        assert ExperimentConfig.from_file("config.txt").library == os.path.join("..", "lib")
+        # A file that names its library by an absolute path still finds it.
+        (tmp_path / "old.txt").write_text(config.to_text())
+        assert ExperimentConfig.from_file(tmp_path / "old.txt") == config
+
     def test_error_override_beats_stage_table(self):
         config = ExperimentConfig(env_id=1, error_x=0.2)
         assert config.env_config().noise.gate_p(GateKind.PAULI_X) == 0.2
@@ -222,7 +233,7 @@ def config_file_with(tmp_path, field, value, **kwargs):
 class TestRunSingle:
     def test_artifacts_and_row_bounds(self, tmp_path):
         config = tiny_config(tmp_path)
-        log = run_single(config)
+        log, _ = run_single(config)
         assert len(log) == 6
         out = tmp_path / "run"
         assert (out / "runlog.csv").exists()
@@ -256,7 +267,7 @@ class TestRunSingle:
         library.append(bell_solver_network(), "env-0")
         save_library(library, tmp_path / "lib")
         config = tiny_config(tmp_path, mode="ppr", library=str(tmp_path / "lib"), episodes=20)
-        log = run_single(config)
+        log, _ = run_single(config)
         assert any(row.policy_index == 1 for row in log)
 
     def test_saved_config_reloads(self, tmp_path):
@@ -268,7 +279,7 @@ class TestRunSingle:
 
 class TestEmitPlot:
     def test_writes_rolling_csv_and_image(self, tmp_path):
-        log = run_single(tiny_config(tmp_path, episodes=10))
+        log, _ = run_single(tiny_config(tmp_path, episodes=10))
         rolling_path, image_path = emit_plot(log, tmp_path / "scores.png", window=4)
         assert rolling_path == tmp_path / "scores.rolling.csv"
         lines = rolling_path.read_text().splitlines()
@@ -371,6 +382,19 @@ def tree_bytes(root):
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
+def count_calls(monkeypatch, owner, name, calls=None):
+    """Append ``name`` to ``calls`` (a new list by default) on each call of
+    ``owner.name``; returns that list."""
+    original, calls = getattr(owner, name), [] if calls is None else calls
+
+    def patched(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, patched)
+    return calls
+
+
 def curriculum_cut_in_stage_3(monkeypatch, out, seed, episodes):
     """A curriculum interrupted halfway through stage 3's episode loop,
     so the saved library holds stages 0..2."""
@@ -396,7 +420,7 @@ class TestCurriculum:
         out = tmp_path / "cur"
         run_curriculum(seed=3, output_dir=out, episodes=8)
         before = {k: (out / f"env{k}" / "runlog.csv").read_bytes() for k in range(6)}
-        results = run_curriculum(seed=3, output_dir=out, episodes=8, resume=True)
+        results = run_curriculum(seed=3, output_dir=out, episodes=8)
         after = {k: (out / f"env{k}" / "runlog.csv").read_bytes() for k in range(6)}
         assert before == after
         assert len(results) == 6
@@ -406,7 +430,7 @@ class TestCurriculum:
         run_curriculum(seed=3, output_dir=out, episodes=8)
         (out / "env2" / "runlog.csv").unlink()
         with pytest.raises(RuntimeError):
-            run_curriculum(seed=3, output_dir=out, episodes=8, resume=True)
+            run_curriculum(seed=3, output_dir=out, episodes=8)
 
     @pytest.mark.parametrize("cut", ["episode_loop", "before_manifest"])
     def test_interrupted_curriculum_resumes_to_the_same_bytes(self, tmp_path, monkeypatch, cut):
@@ -425,7 +449,7 @@ class TestCurriculum:
                     run_curriculum(seed=5, output_dir=out, episodes=episodes)
             assert (out / "env3" / "policy.qnet").read_bytes() == uninterrupted["env3/policy.qnet"]
             assert load_library(out / "library").tags == ["env-0", "env-1", "env-2"]
-        run_curriculum(seed=5, output_dir=out, episodes=episodes, resume=True)
+        run_curriculum(seed=5, output_dir=out, episodes=episodes)
         assert tree_bytes(out) == uninterrupted
 
     @pytest.mark.parametrize("seed, episodes", [(3, 5), (4, 4)], ids=["episodes", "seed"])
@@ -434,7 +458,7 @@ class TestCurriculum:
         curriculum_cut_in_stage_3(monkeypatch, out, 3, 4)
         before = tree_bytes(out)
         with pytest.raises(ValueError, match="config.txt: ran with seed 3000 and 4 episodes"):
-            run_curriculum(seed=seed, output_dir=out, episodes=episodes, resume=True)
+            run_curriculum(seed=seed, output_dir=out, episodes=episodes)
         assert tree_bytes(out) == before
 
     def test_resume_names_a_damaged_stage_config(self, tmp_path):
@@ -443,15 +467,40 @@ class TestCurriculum:
         config_path = out / "env2" / "config.txt"
         config_path.write_text(config_path.read_text().replace("seed = 3002", "seed = x"))
         with pytest.raises(ValueError, match=f"^{re.escape(str(config_path))}: config line \\d+ \\(seed\\): "):
-            run_curriculum(seed=3, output_dir=out, episodes=4, resume=True)
+            run_curriculum(seed=3, output_dir=out, episodes=4)
 
     def test_resume_in_a_moved_directory(self, tmp_path):
         run_curriculum(seed=3, output_dir=tmp_path / "a", episodes=4)
         shutil.move(tmp_path / "a", tmp_path / "b")
         before = tree_bytes(tmp_path / "b")
-        results = run_curriculum(seed=3, output_dir=tmp_path / "b", episodes=4, resume=True)
+        results = run_curriculum(seed=3, output_dir=tmp_path / "b", episodes=4)
         assert len(results) == 6
         assert tree_bytes(tmp_path / "b") == before
+
+    def test_every_stage_trains_through_run_single_once(self, tmp_path, monkeypatch):
+        """A finished directory trains nothing again: no run, no episode, no byte changed."""
+        out = tmp_path / "cur"
+        runs = count_calls(monkeypatch, qasrl.experiments, "run_single")
+        run_curriculum(seed=3, output_dir=out, episodes=4)
+        assert len(runs) == 6
+        before = tree_bytes(out)
+        runs.clear()
+        episodes = count_calls(monkeypatch, qasrl.ppr, "_play_episode")
+        results = run_curriculum(seed=3, output_dir=out, episodes=4)
+        assert (len(runs), len(episodes)) == (0, 0)
+        assert [(env_id, len(log)) for env_id, log in results] == [(k, 4) for k in range(6)]
+        assert tree_bytes(out) == before
+
+    @pytest.mark.parametrize("seed, episodes", [(4, 4), (3, 5)], ids=["seed", "episodes"])
+    def test_finished_directory_refuses_other_settings(self, tmp_path, seed, episodes):
+        out = tmp_path / "cur"
+        run_curriculum(seed=3, output_dir=out, episodes=4)
+        before = tree_bytes(out)
+        message = (f"^{re.escape(str(out / 'env0' / 'config.txt'))}: ran with seed 3000 and 4 episodes, "
+                   ".*; delete the output directory to start over$")
+        with pytest.raises(ValueError, match=message):
+            run_curriculum(seed=seed, output_dir=out, episodes=episodes)
+        assert tree_bytes(out) == before
 
     def test_each_stage_reruns_from_its_config_file(self, tmp_path):
         """A stage's config.txt names the library as it stood when the stage trained."""
@@ -476,21 +525,27 @@ class TestCurriculum:
             assert (tmp_path / "b" / f"rerun{k}" / "runlog.csv").read_bytes() == (
                 tmp_path / "a" / "cur" / f"env{k}" / "runlog.csv").read_bytes()
 
+    def test_stages_rerun_after_the_directory_moves(self, tmp_path, monkeypatch):
+        """Each stage's config.txt names its library relative to itself, so it
+        still reruns the stage once the whole output directory has moved."""
+        monkeypatch.chdir(tmp_path)
+        run_curriculum(seed=0, output_dir="a/cur", episodes=12)
+        shutil.move(tmp_path / "a", tmp_path / "b")
+        (tmp_path / "c").mkdir()
+        monkeypatch.chdir(tmp_path / "c")
+        for k in range(6):
+            assert main(["run", "--config", f"../b/cur/env{k}/config.txt", "--out", f"rerun{k}"]) == 0
+            assert (tmp_path / "c" / f"rerun{k}" / "runlog.csv").read_bytes() == (
+                tmp_path / "b" / "cur" / f"env{k}" / "runlog.csv").read_bytes()
+
     def test_library_stays_in_memory(self, tmp_path, monkeypatch):
         calls = []
-
-        def counting(name, original):
-            def patched(*args, **kwargs):
-                calls.append(name)
-                return original(*args, **kwargs)
-            return patched
-
         for owner, name in [(qasrl.ppr, "load_policy"), (qasrl.experiments, "load_policy"),
                             (qasrl.experiments, "load_library")]:
-            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+            count_calls(monkeypatch, owner, name, calls)
         run_curriculum(seed=3, output_dir=tmp_path / "cur", episodes=4)
         assert calls == []
-        run_curriculum(seed=3, output_dir=tmp_path / "cur", episodes=4, resume=True)
+        run_curriculum(seed=3, output_dir=tmp_path / "cur", episodes=4)
         assert calls == ["load_library"] + ["load_policy"] * 6
 
 
@@ -697,10 +752,29 @@ class TestCli:
         out = tmp_path / "cur"
         curriculum_cut_in_stage_3(monkeypatch, out, 1, 4)
         before = tree_bytes(out)
-        code = main(["curriculum", "--seed", "1", "--episodes", "5", "--out", str(out), "--resume"])
+        code = main(["curriculum", "--seed", "1", "--episodes", "5", "--out", str(out)])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {out / 'env0' / 'config.txt'}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert tree_bytes(out) == before
+
+    def test_curriculum_continues_its_directory(self, tmp_path, capsys):
+        """Rerun with the same settings, it prints every stage again and trains
+        nothing; with another seed it is one error line and changes nothing."""
+        out = tmp_path / "cur"
+        assert main(["curriculum", "--seed", "1", "--episodes", "4", "--out", str(out)]) == 0
+        first = capsys.readouterr().out
+        before = tree_bytes(out)
+        assert main(["curriculum", "--seed", "1", "--episodes", "4", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == first
+        assert [line.split(":")[0] for line in first.splitlines()[:6]] == [f"env {k}" for k in range(6)]
+        code = main(["curriculum", "--seed", "2", "--episodes", "4", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {out / 'env0' / 'config.txt'}: ran with seed 1000 and 4 episodes")
+        assert captured.err.endswith("; delete the output directory to start over\n")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert tree_bytes(out) == before

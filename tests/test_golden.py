@@ -10,16 +10,26 @@ Haswell and Zen kernels, but not under a kernel without fused
 multiply-add, such as Sandybridge or Prescott (``OPENBLAS_CORETYPE``):
 there ``test_from_scratch_run`` gets other bytes.
 ``scripts/bench_record.py`` records the kernel a benchmark ran on.
+``test_from_scratch_run_without_fma`` reruns that config under the
+Sandybridge kernel and checks what holds on any kernel: the episode
+count, finite scores, and a saved policy that solves env 3.
 """
 
 import copy
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import qasrl
 from conftest import bell_solver_network
-from qasrl.experiments import ExperimentConfig, run_single
+from qasrl.dqn import select_action_greedy
+from qasrl.env import CircuitEnv
+from qasrl.experiments import ExperimentConfig, RunLog, run_single
+from qasrl.network import load_policy
 from qasrl.ppr import PolicyLibrary, save_library, softmax_select
 
 DEFAULT_CONFIG_TXT = "96e2e124b2bcbc54033fbd7958bf2dad6908f9024687ee108d86730e75209f7a"
@@ -35,6 +45,27 @@ def runlog_sha256(config: ExperimentConfig) -> str:
 def test_from_scratch_run(tmp_path):
     config = ExperimentConfig(env_id=3, seed=0, episodes=200, out=str(tmp_path / "run"))
     assert runlog_sha256(config) == SCRATCH_ENV3_SEED0
+
+
+def test_from_scratch_run_without_fma(tmp_path):
+    """test_from_scratch_run's config in a process on OpenBLAS's Sandybridge
+    kernel, which has no fused multiply-add, with one BLAS thread.  Its bytes
+    may differ from the pin; its run must still be whole and its policy must
+    still solve env 3 greedily."""
+    out = tmp_path / "run"
+    env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(Path(qasrl.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    script = ("import sys; from qasrl.experiments import ExperimentConfig, run_single; "
+              "run_single(ExperimentConfig(env_id=3, seed=0, episodes=200, out=sys.argv[1]))")
+    subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
+    scores = RunLog.from_csv(out / "runlog.csv").scores()
+    assert len(scores) == 200 and np.isfinite(scores).all()
+    policy, circuit = load_policy(out / "policy.qnet"), CircuitEnv(ExperimentConfig(env_id=3).env_config())
+    observation, step = circuit.reset(), None
+    while step is None or not step.done:
+        step = circuit.step(select_action_greedy(policy, observation))
+        observation = step.observation
+    assert step.fidelity >= circuit.config.fidelity_threshold
 
 
 def test_ppr_stage_with_one_policy_library(tmp_path):
