@@ -91,13 +91,12 @@ class ReplayMemory:
 
     def next_values(self, net: QNetwork, workspace: Workspace) -> np.ndarray:
         """``values``, each id's max-Q under ``net``, after computing those from id ``valued`` on
-        (set to 0 when ``net`` changes) in chunks of the workspace's rows.  Every product, and so
-        the workspace, has 2 rows or more, whose bits do not depend on the other rows (a 1-row product's do)."""
+        (set to 0 when ``net`` changes) in products of all the workspace's rows, a short chunk padded
+        with the ids before it or id 0: on some BLAS kernels a row's bits depend on the row count."""
         stop, rows = len(self.ids), len(workspace.out)
         for start in range(self.valued, stop, rows):
             end = min(start + rows, stop)
-            # A lone id goes beside the one before it, or beside itself.
-            ids = np.maximum(np.arange(end - max(end - start, 2), end), 0)
+            ids = np.maximum(np.arange(end - rows, end), 0)
             q = net.forward(self.observations[ids], workspace)
             self.values[ids] = np.maximum.reduce(q, axis=1)
         self.valued = stop
@@ -203,7 +202,7 @@ def update_target(policy_net: QNetwork, target_net: QNetwork) -> None:
 class DQNAgent:
     """Policy net, frozen-ish target net, replay memory with its target
     values, optimizer state and the buffers every gradient step runs in:
-    the sampled batch, its targets, and a workspace of 2 rows or more.
+    the sampled batch, its targets, and a workspace of the batch's rows.
 
     The agent owns its own rng for replay sampling so that exploration
     draws elsewhere never shift which batches get sampled.
@@ -219,7 +218,7 @@ class DQNAgent:
         self.adam = AdamState.for_network(self.policy_net, learning_rate=config.learning_rate,
                                           beta1=config.adam_beta1, beta2=config.adam_beta2)
         self.batch, self.targets = Batch.empty(config.batch_size, obs_dim), np.empty(config.batch_size)
-        self.workspace = Workspace(self.policy_net, max(config.batch_size, 2))
+        self.workspace = Workspace(self.policy_net, config.batch_size)
 
     def learn(self) -> float | None:
         return optimize(self)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dqn import DQNConfig
 from .env import CircuitEnv, EnvConfig
-from .network import QNetwork, file_error, load_policy, save_policy, write_file  # load_policy: perfbench traces it here
+from .network import QNetwork, file_error, load_policy, save_policy, write_file
 from .ppr import PolicyLibrary, PPRConfig, RunRow, ppr_run, load_library, save_library
 from .quantum import GateKind, NoiseSpec
 
@@ -263,25 +263,23 @@ def run_single(config: ExperimentConfig, library: PolicyLibrary | None = None) -
 
 
 def run_curriculum(seed: int, output_dir, episodes: int = ExperimentConfig.episodes) -> list[tuple[int, RunLog]]:
-    """Train environments 0..5 in order, banking each policy.
+    """Train environments 0..5 in order, then save all six policies to ``library/``.
 
     Env 0 trains from scratch; later ones reuse the library built so far,
     held in memory, and first save it to their own ``library/`` directory,
     which their config.txt names, so that file reruns the stage.  A stage
-    whose tag the output directory's library holds is skipped once its
-    config.txt shows this seed and episode count; its log is read back from
-    runlog.csv, at 12 significant digits.
+    whose config.txt exists, which run_single writes last, is done: once that
+    file shows this seed and episode count, its log and policy are read back
+    from runlog.csv, at 12 significant digits, and policy.qnet.
     """
     if seed < 0:
         raise ValueError(f"seed must not be negative, got {seed}")
     out = Path(output_dir)
-    library_dir = out / "library"
-    library = load_library(library_dir) if (library_dir / "manifest.json").exists() else PolicyLibrary()
+    library = PolicyLibrary()
     logs = []
     for env_id in sorted(ENVIRONMENT_NOISE):
-        tag = f"env-{env_id}"
         env_out = out / f"env{env_id}"
-        runlog_path, config_path = env_out / "runlog.csv", env_out / "config.txt"
+        config_path = env_out / "config.txt"
         config = ExperimentConfig(
             env_id=env_id,
             mode="from_scratch" if env_id == 0 else "ppr",
@@ -290,23 +288,20 @@ def run_curriculum(seed: int, output_dir, episodes: int = ExperimentConfig.episo
             episodes=episodes,
             out=str(env_out),
         )
-        if tag in library.tags:
-            if not runlog_path.exists():
-                raise RuntimeError(f"library holds {tag} but {runlog_path} is missing; "
-                                   "delete the output directory to restart")
+        if config_path.exists():
             done = ExperimentConfig.from_file(config_path)
             if (done.seed, done.episodes) != (config.seed, config.episodes):
                 raise ValueError(f"{config_path}: ran with seed {done.seed} and {done.episodes} episodes, "
                                  f"not the seed {config.seed} and {config.episodes} episodes asked for; "
                                  "delete the output directory to start over")
-            logs.append((env_id, RunLog.from_csv(runlog_path)))
-            continue
-        if config.library:
-            save_library(library, config.library)
-        log, policy = run_single(config, library)
-        library.append(policy, tag)
-        save_library(library, library_dir)
+            log, policy = RunLog.from_csv(env_out / "runlog.csv"), load_policy(env_out / "policy.qnet")
+        else:
+            if config.library:
+                save_library(library, config.library)
+            log, policy = run_single(config, library)
+        library.append(policy, f"env-{env_id}")
         logs.append((env_id, log))
+    save_library(library, out / "library")
     return logs
 
 

@@ -30,7 +30,7 @@ def targets_of(net: QNetwork, gamma: float, *transitions: tuple) -> np.ndarray:
     memory = ReplayMemory(len(transitions), net.layer_sizes[0])
     for t in transitions:
         memory.push(*t)
-    values = memory.next_values(net, Workspace(net, max(len(transitions), 2)))
+    values = memory.next_values(net, Workspace(net, len(transitions)))
     batch = Batch(memory.states, memory.actions, memory.rewards, memory.next_ids)
     return compute_targets(batch, values, gamma)
 
@@ -363,7 +363,7 @@ class TestOptimize:
 
 
 def max_q(net: QNetwork, rows: np.ndarray) -> np.ndarray:
-    """max over actions of one forward of ``rows`` (2 or more) as a batch."""
+    """max over actions of one forward of ``rows`` as a batch."""
     return np.maximum.reduce(net.forward(rows), axis=1)
 
 
@@ -375,19 +375,20 @@ def random_net(rng: np.random.Generator) -> QNetwork:
 
 class TestTargetValues:
     """Each interned next state's value, computed once per target sync,
-    has the bits a forward of any batch of 2 or more rows holding it gives."""
+    has the bits a forward of a batch of the workspace's rows holding it gives."""
 
     def test_values_equal_one_forward_of_every_row(self):
-        # 129 ids: two full chunks of 64 and a lone last id
+        # 129 ids: two full chunks of 64, then id 128 in one product with ids 65..127
         rng = np.random.default_rng(90)
         for _ in range(10):
             net, memory = random_net(rng), ReplayMemory(200, 6)
             for _ in range(129):
                 memory.push(np.zeros(6), 0, 0.0, rng.uniform(-1, 1, 6))
             values = memory.next_values(net, Workspace(net, 64))
-            assert values[:129].tobytes() == max_q(net, memory.observations[:129]).tobytes()
+            first, second, last = (max_q(net, memory.observations[start:start + 64]) for start in (0, 64, 65))
+            assert values[:129].tobytes() == np.concatenate([first, second, last[-1:]]).tobytes()
 
-    def test_one_repeated_next_state_gets_the_two_row_bits(self):
+    def test_one_repeated_next_state_gets_the_full_row_bits(self):
         rng = np.random.default_rng(91)
         for _ in range(20):
             net, memory, state = random_net(rng), ReplayMemory(64, 6), rng.uniform(-1, 1, 6)
@@ -395,7 +396,7 @@ class TestTargetValues:
                 memory.push(rng.uniform(-1, 1, 6), 0, 0.0, state.copy())
             assert len(memory.ids) == 1
             values = memory.next_values(net, Workspace(net, 64))
-            assert values[:1].tobytes() == max_q(net, np.stack([state, state]))[:1].tobytes()
+            assert values[:1].tobytes() == max_q(net, np.stack([state] * 64))[:1].tobytes()
 
     def test_targets_follow_the_target_network_after_sync(self):
         agent, data = DQNAgent(6, 12, DQNConfig(), np.random.default_rng(92)), np.random.default_rng(93)
@@ -423,7 +424,8 @@ class TestTargetValues:
             n = len(agent.memory.ids)
             np.testing.assert_array_equal(agent.memory.observations[n - 1], new)
             assert agent.memory.valued == n
-            assert agent.memory.values[n - 1] == max_q(agent.target_net, agent.memory.observations[:n])[-1]
+            full_rows = agent.memory.observations[np.maximum(np.arange(n - 64, n), 0)]
+            assert agent.memory.values[n - 1].tobytes() == max_q(agent.target_net, full_rows)[-1].tobytes()
 
     def test_table_stays_within_the_ring_capacity(self):
         """A ring of 4 sees 60 distinct next states in episodes of 1 to 5
@@ -471,18 +473,18 @@ class TestAgent:
         x = np.ones(6)
         np.testing.assert_array_equal(agent.policy_net.forward(x), agent.target_net.forward(x))
 
-    def test_batch_of_one_values_next_states_in_products_of_two_rows(self):
-        """batch_size 1 is allowed, yet every table value, through 100 learn
-        steps and a sync every 10, has the bits of one product of 2 or more
-        rows: the agent's workspace holds 2 rows, not the batch's 1."""
+    def test_batch_of_one_values_next_states_in_one_row_products(self):
+        """With batch_size 1 the agent's workspace holds 1 row, and every
+        table value, through 100 learn steps and a sync every 10, has the
+        bits of a 1-row product of its next state."""
         agent = DQNAgent(6, 12, DQNConfig(batch_size=1, min_replay=1), np.random.default_rng(10))
         data = np.random.default_rng(11)
         for step in range(100):
             agent.memory.push(*random_transition(data))
             assert agent.learn() is not None
             n = len(agent.memory.ids)
-            rows = agent.memory.observations[np.arange(n) if n > 1 else [0, 0]]
-            assert agent.memory.values[:n].tobytes() == max_q(agent.target_net, rows)[:n].tobytes()
+            one_row = np.array([max_q(agent.target_net, agent.memory.observations[i:i + 1])[0] for i in range(n)])
+            assert agent.memory.values[:n].tobytes() == one_row.tobytes()
             if step % 10 == 9:
                 agent.sync_target()
         assert agent.adam.t == 100 and n > 50

@@ -397,13 +397,14 @@ def count_calls(monkeypatch, owner, name, calls=None):
 
 def curriculum_cut_in_stage_3(monkeypatch, out, seed, episodes):
     """A curriculum interrupted halfway through stage 3's episode loop,
-    so the saved library holds stages 0..2."""
+    so stages 0..2 are done and no library/ is written yet."""
     with monkeypatch.context() as patch:
         # One _play_episode call per episode: stage 3 holds calls 3E+1..4E.
         raise_on_call(patch, qasrl.ppr, "_play_episode", 3 * episodes + episodes // 2)
         with pytest.raises(Interrupted):
             run_curriculum(seed=seed, output_dir=out, episodes=episodes)
-    assert load_library(out / "library").tags == ["env-0", "env-1", "env-2"]
+    assert [(out / f"env{k}" / "config.txt").exists() for k in range(6)] == [True] * 3 + [False] * 3
+    assert not (out / "library").exists()
 
 
 class TestCurriculum:
@@ -429,10 +430,10 @@ class TestCurriculum:
         out = tmp_path / "cur"
         run_curriculum(seed=3, output_dir=out, episodes=8)
         (out / "env2" / "runlog.csv").unlink()
-        with pytest.raises(RuntimeError):
+        with pytest.raises(FileNotFoundError, match=re.escape(str(out / "env2" / "runlog.csv"))):
             run_curriculum(seed=3, output_dir=out, episodes=8)
 
-    @pytest.mark.parametrize("cut", ["episode_loop", "before_manifest"])
+    @pytest.mark.parametrize("cut", ["episode_loop", "after_stage_3"])
     def test_interrupted_curriculum_resumes_to_the_same_bytes(self, tmp_path, monkeypatch, cut):
         out, episodes = tmp_path / "cur", 10
         run_curriculum(seed=5, output_dir=out, episodes=episodes)
@@ -442,13 +443,13 @@ class TestCurriculum:
             curriculum_cut_in_stage_3(monkeypatch, out, 5, episodes)
         else:
             with monkeypatch.context() as patch:
-                # Stages 1..3 each save their own library, then the shared one:
-                # the seventh save follows stage 3, whose own files are then written.
-                raise_on_call(patch, qasrl.experiments, "save_library", 7)
+                # Stages 1..4 each save their own library first: the fourth save
+                # is stage 4's, after stage 3's files are written.
+                raise_on_call(patch, qasrl.experiments, "save_library", 4)
                 with pytest.raises(Interrupted):
                     run_curriculum(seed=5, output_dir=out, episodes=episodes)
             assert (out / "env3" / "policy.qnet").read_bytes() == uninterrupted["env3/policy.qnet"]
-            assert load_library(out / "library").tags == ["env-0", "env-1", "env-2"]
+            assert not (out / "env4" / "config.txt").exists()
         run_curriculum(seed=5, output_dir=out, episodes=episodes)
         assert tree_bytes(out) == uninterrupted
 
@@ -538,6 +539,27 @@ class TestCurriculum:
             assert (tmp_path / "c" / f"rerun{k}" / "runlog.csv").read_bytes() == (
                 tmp_path / "b" / "cur" / f"env{k}" / "runlog.csv").read_bytes()
 
+    def test_a_deleted_library_is_rewritten_without_training(self, tmp_path, monkeypatch):
+        """library/ is written from the stages' own files, so deleting it retrains nothing."""
+        out = tmp_path / "cur"
+        run_curriculum(seed=3, output_dir=out, episodes=4)
+        before = tree_bytes(out)
+        shutil.rmtree(out / "library")
+        runs = count_calls(monkeypatch, qasrl.experiments, "run_single")
+        run_curriculum(seed=3, output_dir=out, episodes=4)
+        assert runs == []
+        assert tree_bytes(out) == before
+
+    def test_each_policy_file_is_written_once_per_library(self, tmp_path, monkeypatch):
+        """Six stage policies, stage k's own library of k policies for k = 1..5,
+        and the final library of six: 6 + 15 + 6 = 27 snapshots in 6 libraries."""
+        calls = []
+        for owner, name in [(qasrl.experiments, "save_policy"), (qasrl.ppr, "save_policy"),
+                            (qasrl.experiments, "save_library")]:
+            count_calls(monkeypatch, owner, name, calls)
+        run_curriculum(seed=3, output_dir=tmp_path / "cur", episodes=4)
+        assert (calls.count("save_policy"), calls.count("save_library")) == (27, 6)
+
     def test_library_stays_in_memory(self, tmp_path, monkeypatch):
         calls = []
         for owner, name in [(qasrl.ppr, "load_policy"), (qasrl.experiments, "load_policy"),
@@ -546,7 +568,7 @@ class TestCurriculum:
         run_curriculum(seed=3, output_dir=tmp_path / "cur", episodes=4)
         assert calls == []
         run_curriculum(seed=3, output_dir=tmp_path / "cur", episodes=4)
-        assert calls == ["load_library"] + ["load_policy"] * 6
+        assert calls == ["load_policy"] * 6
 
 
 def test_failed_replace_keeps_the_old_file(tmp_path, monkeypatch):
@@ -759,6 +781,16 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert tree_bytes(out) == before
+
+    def test_curriculum_with_a_missing_stage_file_is_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "cur"
+        assert main(["curriculum", "--seed", "1", "--episodes", "4", "--out", str(out)]) == 0
+        capsys.readouterr()
+        (out / "env2" / "runlog.csv").unlink()
+        assert main(["curriculum", "--seed", "1", "--episodes", "4", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out / "env2" / "runlog.csv") in err
+        assert err.count("\n") == 1
 
     def test_curriculum_continues_its_directory(self, tmp_path, capsys):
         """Rerun with the same settings, it prints every stage again and trains

@@ -423,14 +423,14 @@ def plain_loss_and_grad(net: QNetwork, x, actions, targets):
 
 
 def plain_targets(net: QNetwork, rewards, next_states, live, gamma: float) -> np.ndarray:
-    """TD targets written with one temporary per op, forwarding only the
-    live rows, a lone one twice: a product of 2 or more rows gives each row
-    the same bits, a 1-row product does not."""
+    """TD targets written with one temporary per op, forwarding the live
+    rows in one product of 64 rows, the tests' workspace size, led by copies
+    of the first: on some BLAS kernels a row's bits depend on the row count."""
     targets = rewards.copy()
-    rows = next_states[live]
-    if len(rows):
-        best = plain_forward(net, rows if len(rows) > 1 else rows.repeat(2, axis=0)).max(axis=1)
-        targets[live] += gamma * best[:len(rows)]
+    next_live = next_states[live]
+    if len(next_live):
+        padded = np.concatenate([next_live[:1].repeat(64 - len(next_live), axis=0), next_live])
+        targets[live] += gamma * plain_forward(net, padded).max(axis=1)[-len(next_live):]
     return targets
 
 
@@ -566,7 +566,7 @@ class TestBitIdenticalToPlainFormulas:
                                              rng.integers(sizes[-1], size=n), rewards, next_states, live)
 
                 expected = plain_targets(net, rewards, next_states, live, 0.7)
-                fresh = memory.next_values(net, Workspace(net, max(n, 2))).copy()
+                fresh = memory.next_values(net, Workspace(net, 64)).copy()
                 assert same_bits(compute_targets(batch, fresh, 0.7), expected)
                 memory.valued = 0
                 values = memory.next_values(net, workspace)
