@@ -1,15 +1,16 @@
 """Quantum circuit architecture search with deep Q-learning and policy reuse."""
 
 from .quantum import (
-    DensityMatrix,
     GateAction,
     GateKind,
     NoiseSpec,
     TargetState,
     apply_gate,
     bell_state,
+    density_matrix,
     fidelity,
     initial_state,
+    pauli_coordinates,
     pauli_expectations,
 )
 from .env import CircuitEnv, EnvConfig, EpisodeRecord, StepResult, enumerate_actions

@@ -15,7 +15,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .quantum import (
-    DensityMatrix,
     GateAction,
     GateKind,
     NoiseSpec,
@@ -90,12 +89,12 @@ class EpisodeRecord:
 
 
 class CircuitEnv:
-    """Gym-style environment over the exact density-matrix simulator."""
+    """Gym-style environment over the exact mixed-state simulator."""
 
     def __init__(self, config: EnvConfig):
         self.config = config
         self.actions = enumerate_actions(config.n_qubits)
-        self._state: DensityMatrix | None = None
+        self._state: np.ndarray | None = None
         self._done = False
         self._fidelity = 0.0
         self._taken: list[GateAction] = []

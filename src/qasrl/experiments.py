@@ -249,9 +249,12 @@ class RunLog:
 
 def run_single(config: ExperimentConfig, library: PolicyLibrary | None = None) -> tuple[RunLog, QNetwork]:
     """Execute one run, write runlog.csv, policy.qnet and config.txt under config.out and
-    return (log, policy); a ppr run reuses ``library``, by default the one at config.library."""
+    return (log, policy); a ppr run reuses ``library``, by default the one at config.library,
+    and is refused if it holds no policy."""
     if library is None:
         library = load_library(config.library) if config.library else PolicyLibrary()
+    if config.mode == "ppr" and not library:
+        raise ValueError(f"{Path(config.library) / 'manifest.json'}: library holds no policy to reuse")
     env = CircuitEnv(config.env_config())
     result = ppr_run(env, library, config.ppr_config(), np.random.default_rng(config.seed))
     out = Path(config.out)

@@ -1,7 +1,9 @@
 """Exact mixed-state simulation of small gate-model circuits.
 
-States are the 4^n real Pauli coordinates Tr(rho P_i), Pauli strings in
-I, X, Y, Z order with qubit 0 as the leftmost (most significant) factor.
+A state is a read-only float64 vector of its 4^n Pauli coordinates
+Tr(rho P_i), Pauli strings in I, X, Y, Z order with qubit 0 as the
+leftmost (most significant) factor; ``pauli_coordinates`` and
+``density_matrix`` convert to and from the 2^n x 2^n matrix rho.
 Gate noise is a depolarizing channel on the qubits a gate touches; a
 gate with its noise is one cached real Pauli-transfer matrix.  Readout
 noise degrades expectation values without touching the state.
@@ -126,46 +128,26 @@ def _local_indices(n_qubits: int) -> np.ndarray:
     return np.array([k * 4 ** (n_qubits - 1 - q) for q in range(n_qubits) for k in (1, 2, 3)])
 
 
-@dataclass(frozen=True, init=False)
-class DensityMatrix:
-    """An n-qubit mixed state held as its read-only Pauli coordinates ``pauli[i]``
-    = Tr(rho P_i), complex only for a non-Hermitian matrix (``validate`` rejects
-    it).  ``elements``, the 2^n x 2^n matrix, is rebuilt from them on access."""
+def pauli_coordinates(matrix) -> np.ndarray:
+    """The read-only real coordinates Tr(rho P_i) of a Hermitian 2^n x 2^n
+    matrix rho, n >= 1: the state vector every simulator function takes."""
+    mat = np.asarray(matrix, dtype=complex)
+    n = (mat.shape[0] if mat.ndim == 2 else 0).bit_length() - 1
+    if n < 1 or mat.shape != (2**n, 2**n):
+        raise ValueError(f"expected a 2^n x 2^n matrix with n >= 1, got shape {mat.shape}")
+    if np.abs(mat - mat.conj().T).max() > 1e-9:
+        raise ValueError("matrix is not Hermitian")
+    coords = np.einsum("pij,ji->p", _pauli_basis(n), mat).real.copy()
+    coords.setflags(write=False)
+    return coords
 
-    n_qubits: int
-    pauli: np.ndarray
 
-    def __init__(self, n_qubits: int, elements):
-        dim = 2**n_qubits
-        mat = np.asarray(elements, dtype=complex)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"expected shape {(dim, dim)}, got {mat.shape}")
-        coords = np.einsum("pij,ji->p", _pauli_basis(n_qubits), mat)
-        self._hold(n_qubits, coords if coords.imag.any() else coords.real.copy())
-
-    def _hold(self, n_qubits: int, pauli: np.ndarray) -> "DensityMatrix":
-        """Set both fields, ``pauli`` read-only; on a bare ``__new__`` it skips the conversion."""
-        pauli.setflags(write=False)
-        object.__setattr__(self, "n_qubits", n_qubits)
-        object.__setattr__(self, "pauli", pauli)
-        return self
-
-    @property
-    def elements(self) -> np.ndarray:
-        """The density matrix sum_i pauli[i] P_i / 2^n, read-only."""
-        mat = np.tensordot(self.pauli, _pauli_basis(self.n_qubits), axes=1) / 2**self.n_qubits
-        mat.setflags(write=False)
-        return mat
-
-    def validate(self, atol: float = 1e-9) -> None:
-        """Raise if the matrix is not a physical state to within ``atol``."""
-        if abs(np.trace(self.elements) - 1.0) > atol:
-            raise ValueError(f"trace {np.trace(self.elements)} != 1")
-        if not np.allclose(self.elements, self.elements.conj().T, atol=atol):
-            raise ValueError("matrix is not Hermitian")
-        eigs = np.linalg.eigvalsh(self.elements)
-        if eigs.min() < -atol:
-            raise ValueError(f"negative eigenvalue {eigs.min()}")
+def density_matrix(pauli: np.ndarray) -> np.ndarray:
+    """The read-only matrix sum_i pauli[i] P_i / 2^n of a state's coordinates."""
+    n = len(pauli).bit_length() >> 1
+    mat = np.tensordot(pauli, _pauli_basis(n), axes=1) / 2**n
+    mat.setflags(write=False)
+    return mat
 
 
 @dataclass(frozen=True)
@@ -187,7 +169,7 @@ class TargetState:
         vec.setflags(write=False)
         object.__setattr__(self, "amplitudes", vec)
         object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "pauli", DensityMatrix(n, np.outer(vec, vec.conj())).pauli.real)
+        object.__setattr__(self, "pauli", pauli_coordinates(np.outer(vec, vec.conj())))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TargetState):
@@ -201,11 +183,11 @@ def bell_state() -> TargetState:
 
 
 @functools.lru_cache(maxsize=None)
-def initial_state(n_qubits: int) -> DensityMatrix:
-    """|0...0><0...0| on ``n_qubits`` qubits; immutable, so built once per count."""
+def initial_state(n_qubits: int) -> np.ndarray:
+    """|0...0><0...0| on ``n_qubits`` qubits; read-only, so built once per count."""
     if n_qubits < 1:
         raise ValueError(f"need at least one qubit, got {n_qubits}")
-    return DensityMatrix(n_qubits, np.diag(np.eye(2**n_qubits)[0]))
+    return pauli_coordinates(np.diag(np.eye(2**n_qubits)[0]))
 
 
 def gate_unitary(action: GateAction, n_qubits: int) -> np.ndarray:
@@ -225,8 +207,8 @@ def gate_unitary(action: GateAction, n_qubits: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def transfer_matrix(action: GateAction, n_qubits: int, p: float = 0.0) -> np.ndarray:
     """Read-only Pauli-transfer matrix T of one gate placement followed by
-    depolarizing noise ``p`` on its qubits; a state's ``pauli`` maps to
-    T @ pauli.  The gate part is Tr(P_i U P_j U^dag) / 2^n; the noise scales
+    depolarizing noise ``p`` on its qubits; a state vector maps to
+    T @ state.  The gate part is Tr(P_i U P_j U^dag) / 2^n; the noise scales
     by (1 - p) the rows whose Pauli string is not the identity on those qubits.
     """
     unitary = gate_unitary(action, n_qubits)
@@ -238,23 +220,25 @@ def transfer_matrix(action: GateAction, n_qubits: int, p: float = 0.0) -> np.nda
     return table
 
 
-def apply_gate(state: DensityMatrix, action: GateAction, noise: NoiseSpec | None = None) -> DensityMatrix:
+def apply_gate(state: np.ndarray, action: GateAction, noise: NoiseSpec | None = None) -> np.ndarray:
     """Conjugate by the gate unitary, then depolarize the touched qubits with
-    the kind's error rate: one product with the cached ``transfer_matrix``."""
+    the kind's error rate: one product with the cached ``transfer_matrix``.
+    The state has 4^n coordinates, whose bit length 2n + 1 gives n."""
     p = noise.gate_p(action.kind) if noise is not None else 0.0
-    table = transfer_matrix(action, state.n_qubits, p)
-    return DensityMatrix.__new__(DensityMatrix)._hold(state.n_qubits, table.dot(state.pauli))
+    out = transfer_matrix(action, len(state).bit_length() >> 1, p).dot(state)
+    out.setflags(write=False)
+    return out
 
 
-def pauli_expectations(state: DensityMatrix, noise: NoiseSpec | None = None) -> np.ndarray:
+def pauli_expectations(state: np.ndarray, noise: NoiseSpec | None = None) -> np.ndarray:
     """Per-qubit <X>, <Y>, <Z> in qubit order, degraded by readout error:
     a float vector of length 3 * n_qubits, each entry in [-1, 1]."""
     scale = 1.0 - 2.0 * (noise.meas_error if noise is not None else 0.0)
-    return (scale * state.pauli[_local_indices(state.n_qubits)].real).clip(-1.0, 1.0)
+    return (scale * state[_local_indices(len(state).bit_length() >> 1)]).clip(-1.0, 1.0)
 
 
-def fidelity(state: DensityMatrix, target: TargetState) -> float:
+def fidelity(state: np.ndarray, target: TargetState) -> float:
     """<psi| rho |psi> against a pure target; linear in rho, in [0, 1]."""
-    if target.pauli.shape != state.pauli.shape:
-        raise ValueError(f"target has {target.n_qubits} qubits, state has {state.n_qubits}")
-    return float(target.pauli.dot(state.pauli).real) / 2**state.n_qubits
+    if target.pauli.shape != state.shape:
+        raise ValueError(f"target has {target.n_qubits} qubits, state has {len(state).bit_length() >> 1}")
+    return float(target.pauli.dot(state)) / 2**target.n_qubits

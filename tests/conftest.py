@@ -67,6 +67,13 @@ def random_density_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     return mat / np.trace(mat)
 
 
+def physicality(mat: np.ndarray) -> tuple[float, float, float]:
+    """|Tr(rho) - 1|, the largest entry of |rho - rho^dag| and the smallest
+    eigenvalue: 0, 0 and at least 0 for a physical density matrix."""
+    return (abs(np.trace(mat) - 1.0), float(np.abs(mat - mat.conj().T).max()),
+            float(np.linalg.eigvalsh(mat).min()))
+
+
 def zero_network(layer_sizes) -> QNetwork:
     return QNetwork(layer_sizes)
 

@@ -22,13 +22,14 @@ from qasrl.ppr import (
     softmax_select,
 )
 from qasrl.quantum import (
-    DensityMatrix,
     GateAction,
     GateKind,
     NoiseSpec,
     apply_gate,
     bell_state,
+    density_matrix,
     fidelity,
+    pauli_coordinates,
     pauli_expectations,
 )
 
@@ -195,8 +196,8 @@ def test_criterion_6_channel_physics():
     for action in actions:
         for p in (0.0, 0.005, 0.01, 0.5, 1.0):
             noise = NoiseSpec(gate_error={action.kind: p}, meas_error=0.0)
-            state = DensityMatrix(2, random_density_matrix(rng, 2))
-            out = apply_gate(state, action, noise).elements
+            state = pauli_coordinates(random_density_matrix(rng, 2))
+            out = density_matrix(apply_gate(state, action, noise))
             worst_trace = max(worst_trace, abs(np.trace(out).real - 1.0))
             worst_herm = max(worst_herm, np.abs(out - out.conj().T).max())
             min_eig = min(min_eig, np.linalg.eigvalsh(out).min())
@@ -208,13 +209,13 @@ def test_criterion_6_channel_physics():
     }
     eye = np.eye(2)
     for _ in range(100):
-        state = DensityMatrix(2, random_density_matrix(rng, 2))
+        state = pauli_coordinates(random_density_matrix(rng, 2))
         got = pauli_expectations(state)
         want = []
         for qubit in range(2):
             for name in ("X", "Y", "Z"):
                 op = np.kron(paulis[name], eye) if qubit == 0 else np.kron(eye, paulis[name])
-                want.append(np.trace(state.elements @ op).real)
+                want.append(np.trace(density_matrix(state) @ op).real)
         worst_pauli = max(worst_pauli, np.abs(got - np.array(want)).max())
     target = bell_state()
     worst_linear = 0.0
@@ -222,9 +223,9 @@ def test_criterion_6_channel_physics():
         a = rng.uniform()
         r1 = random_density_matrix(rng, 2)
         r2 = random_density_matrix(rng, 2)
-        mixed = DensityMatrix(2, a * r1 + (1 - a) * r2)
-        combined = a * fidelity(DensityMatrix(2, r1), target) + (1 - a) * fidelity(
-            DensityMatrix(2, r2), target
+        mixed = pauli_coordinates(a * r1 + (1 - a) * r2)
+        combined = a * fidelity(pauli_coordinates(r1), target) + (1 - a) * fidelity(
+            pauli_coordinates(r2), target
         )
         worst_linear = max(worst_linear, abs(fidelity(mixed, target) - combined))
     passed = (

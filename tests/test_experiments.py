@@ -730,6 +730,16 @@ class TestCli:
         assert err.startswith("error: ") and str(broken) in err and "layer_sizes" in err
         assert err.count("\n") == 1
 
+    def test_ppr_run_with_empty_library_is_one_line_error(self, tmp_path, capsys):
+        save_library(PolicyLibrary(), tmp_path / "lib")
+        code = main(["run", "--env", "1", "--mode", "ppr", "--library", str(tmp_path / "lib"),
+                     "--episodes", "5", "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "lib" / "manifest.json") in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
     def test_non_finite_learning_is_one_line_error(self, tmp_path, capsys, monkeypatch):
         poison_agents(monkeypatch)
         code = main(["run", "--env", "0", "--episodes", "10", "--out", str(tmp_path / "run")])

@@ -1,4 +1,6 @@
-"""Density-matrix simulator tests against independent linear-algebra oracles."""
+"""Simulator tests against independent density-matrix oracles."""
+
+import re
 
 import numpy as np
 import pytest
@@ -12,18 +14,21 @@ from conftest import (
     cnot_full,
     embed,
     kraus_depolarize,
+    physicality,
     random_density_matrix,
 )
+from qasrl.env import enumerate_actions
 from qasrl.quantum import (
-    DensityMatrix,
     GateAction,
     GateKind,
     NoiseSpec,
     TargetState,
     apply_gate,
     bell_state,
+    density_matrix,
     fidelity,
     initial_state,
+    pauli_coordinates,
     pauli_expectations,
 )
 
@@ -40,18 +45,19 @@ def make_action(kind: GateKind, n: int = 2) -> GateAction:
 class TestInitialState:
     def test_one_qubit(self):
         state = initial_state(1)
-        np.testing.assert_allclose(state.elements, [[1, 0], [0, 0]], atol=1e-15)
+        np.testing.assert_allclose(density_matrix(state), [[1, 0], [0, 0]], atol=1e-15)
 
     def test_two_qubits_single_entry(self):
         state = initial_state(2)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
-        np.testing.assert_allclose(state.elements, expected, atol=1e-15)
+        np.testing.assert_allclose(density_matrix(state), expected, atol=1e-15)
 
     def test_three_qubits_valid(self):
-        state = initial_state(3)
-        assert state.elements.shape == (8, 8)
-        state.validate()
+        mat = density_matrix(initial_state(3))
+        assert mat.shape == (8, 8)
+        trace_err, herm_err, min_eig = physicality(mat)
+        assert trace_err <= 1e-9 and herm_err <= 1e-9 and min_eig >= -1e-9
 
     def test_rejects_zero_qubits(self):
         with pytest.raises(ValueError):
@@ -80,11 +86,11 @@ class TestApplyGateNoiseless:
     def test_x_flips_msb_qubit(self):
         # qubit 0 is the leftmost tensor factor: X on it sends |00> to |10>
         state = apply_gate(initial_state(2), GateAction(GateKind.PAULI_X, target=0))
-        assert abs(state.elements[2, 2] - 1.0) < 1e-12
+        assert abs(density_matrix(state)[2, 2] - 1.0) < 1e-12
 
     def test_x_flips_lsb_qubit(self):
         state = apply_gate(initial_state(2), GateAction(GateKind.PAULI_X, target=1))
-        assert abs(state.elements[1, 1] - 1.0) < 1e-12
+        assert abs(density_matrix(state)[1, 1] - 1.0) < 1e-12
 
     def test_bell_circuit(self):
         state = initial_state(2)
@@ -94,26 +100,26 @@ class TestApplyGateNoiseless:
         for i in (0, 3):
             for j in (0, 3):
                 expected[i, j] = 0.5
-        np.testing.assert_allclose(state.elements, expected, atol=1e-12)
+        np.testing.assert_allclose(density_matrix(state), expected, atol=1e-12)
 
     @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k is not GateKind.ROT_PI4])
     def test_involutions_undo_themselves(self, kind):
         rng = np.random.default_rng(11)
         mat = random_density_matrix(rng, 2)
-        state = DensityMatrix(2, mat)
+        state = pauli_coordinates(mat)
         action = make_action(kind)
         twice = apply_gate(apply_gate(state, action), action)
-        np.testing.assert_allclose(twice.elements, mat, atol=1e-12)
+        np.testing.assert_allclose(density_matrix(twice), mat, atol=1e-12)
 
     def test_rotation_has_period_eight(self):
         # Rz(pi/4)^8 = -identity; the global phase cancels on the state
         rng = np.random.default_rng(12)
         mat = random_density_matrix(rng, 2)
-        state = DensityMatrix(2, mat)
+        state = pauli_coordinates(mat)
         action = GateAction(GateKind.ROT_PI4, target=1)
         for _ in range(8):
             state = apply_gate(state, action)
-        np.testing.assert_allclose(state.elements, mat, atol=1e-12)
+        np.testing.assert_allclose(density_matrix(state), mat, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_matches_unitary_conjugation_oracle(self, kind):
@@ -121,7 +127,7 @@ class TestApplyGateNoiseless:
         for _ in range(5):
             mat = random_density_matrix(rng, 2)
             action = make_action(kind)
-            got = apply_gate(DensityMatrix(2, mat), action).elements
+            got = density_matrix(apply_gate(pauli_coordinates(mat), action))
             if kind is GateKind.CNOT:
                 full = cnot_full(0, 1, 2)
             else:
@@ -132,7 +138,7 @@ class TestApplyGateNoiseless:
         # control on qubit 1: |01> -> |11>
         state = apply_gate(initial_state(2), GateAction(GateKind.PAULI_X, target=1))
         state = apply_gate(state, GateAction(GateKind.CNOT, target=0, control=1))
-        assert abs(state.elements[3, 3] - 1.0) < 1e-12
+        assert abs(density_matrix(state)[3, 3] - 1.0) < 1e-12
 
 
 class TestDepolarizingChannel:
@@ -140,7 +146,7 @@ class TestDepolarizingChannel:
         # by-hand Kraus route: rho' = diag(p/2, 1 - p/2), <Z> = -(1 - p)
         noise = NoiseSpec(gate_error={GateKind.PAULI_X: 0.01})
         state = apply_gate(initial_state(1), GateAction(GateKind.PAULI_X, target=0), noise)
-        np.testing.assert_allclose(state.elements, np.diag([0.005, 0.995]), atol=1e-12)
+        np.testing.assert_allclose(density_matrix(state), np.diag([0.005, 0.995]), atol=1e-12)
         z = pauli_expectations(state)[2]
         np.testing.assert_allclose(z, -0.99, atol=1e-12)
 
@@ -152,7 +158,7 @@ class TestDepolarizingChannel:
         for _ in range(3):
             mat = random_density_matrix(rng, 2)
             action = make_action(kind)
-            got = apply_gate(DensityMatrix(2, mat), action, noise).elements
+            got = density_matrix(apply_gate(pauli_coordinates(mat), action, noise))
             if kind is GateKind.CNOT:
                 full = cnot_full(0, 1, 2)
                 qubits = (0, 1)
@@ -168,18 +174,17 @@ class TestDepolarizingChannel:
         rng = np.random.default_rng(7)
         noise = NoiseSpec(gate_error={kind: p})
         for _ in range(3):
-            state = DensityMatrix(2, random_density_matrix(rng, 2))
+            state = pauli_coordinates(random_density_matrix(rng, 2))
             out = apply_gate(state, make_action(kind), noise)
-            assert abs(np.trace(out.elements) - 1.0) < 1e-12
-            np.testing.assert_allclose(out.elements, out.elements.conj().T, atol=1e-12)
-            assert np.linalg.eigvalsh(out.elements).min() >= -1e-9
+            trace_err, herm_err, min_eig = physicality(density_matrix(out))
+            assert trace_err < 1e-12 and herm_err <= 1e-12 and min_eig >= -1e-9
 
     def test_full_depolarizing_on_cnot_gives_maximally_mixed(self):
         noise = NoiseSpec(gate_error={GateKind.CNOT: 1.0})
         state = apply_gate(
             initial_state(2), GateAction(GateKind.CNOT, target=1, control=0), noise
         )
-        np.testing.assert_allclose(state.elements, np.eye(4) / 4, atol=1e-12)
+        np.testing.assert_allclose(density_matrix(state), np.eye(4) / 4, atol=1e-12)
 
     def test_single_qubit_full_depolarizing_keeps_other_qubit(self):
         # X with p=1 on qubit 0 of |01>: qubit 0 mixed, qubit 1 stays |1>
@@ -187,17 +192,17 @@ class TestDepolarizingChannel:
         noise = NoiseSpec(gate_error={GateKind.PAULI_X: 1.0})
         state = apply_gate(state, GateAction(GateKind.PAULI_X, target=0), noise)
         expected = np.kron(np.eye(2) / 2, np.diag([0.0, 1.0]))
-        np.testing.assert_allclose(state.elements, expected, atol=1e-12)
+        np.testing.assert_allclose(density_matrix(state), expected, atol=1e-12)
 
     def test_three_qubit_embedding(self):
         # noise on the middle qubit must not leak onto its neighbours
         rng = np.random.default_rng(23)
         mat = random_density_matrix(rng, 3)
         noise = NoiseSpec(gate_error={GateKind.HADAMARD: 0.3})
-        got = apply_gate(DensityMatrix(3, mat), GateAction(GateKind.HADAMARD, target=1), noise)
+        got = apply_gate(pauli_coordinates(mat), GateAction(GateKind.HADAMARD, target=1), noise)
         full = embed({1: HADAMARD}, 3)
         rotated = full @ mat @ full.conj().T
-        np.testing.assert_allclose(got.elements, kraus_depolarize(rotated, (1,), 0.3, 3), atol=1e-12)
+        np.testing.assert_allclose(density_matrix(got), kraus_depolarize(rotated, (1,), 0.3, 3), atol=1e-12)
 
 
 class TestPauliExpectations:
@@ -216,9 +221,9 @@ class TestPauliExpectations:
 
     def test_readout_error_leaves_state_untouched(self):
         state = initial_state(2)
-        before = state.elements.copy()
+        before = state.copy()
         pauli_expectations(state, NoiseSpec(meas_error=0.25))
-        np.testing.assert_array_equal(state.elements, before)
+        np.testing.assert_array_equal(state, before)
 
     def test_bell_state_has_zero_locals(self):
         state = initial_state(2)
@@ -231,7 +236,7 @@ class TestPauliExpectations:
         paulis = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
         for _ in range(100):
             mat = random_density_matrix(rng, 2)
-            got = pauli_expectations(DensityMatrix(2, mat))
+            got = pauli_expectations(pauli_coordinates(mat))
             expected = [
                 np.trace(mat @ embed({q: paulis[name]}, 2)).real
                 for q in range(2)
@@ -243,7 +248,7 @@ class TestPauliExpectations:
         rng = np.random.default_rng(37)
         noise = NoiseSpec(meas_error=0.4)
         for _ in range(50):
-            values = pauli_expectations(DensityMatrix(2, random_density_matrix(rng, 2)), noise)
+            values = pauli_expectations(pauli_coordinates(random_density_matrix(rng, 2)), noise)
             assert np.all(values <= 1.0) and np.all(values >= -1.0)
 
     def test_ordering_is_per_qubit_xyz(self):
@@ -263,7 +268,7 @@ class TestFidelity:
         np.testing.assert_allclose(fidelity(state, bell_state()), 1.0, atol=1e-9)
 
     def test_maximally_mixed(self):
-        state = DensityMatrix(2, np.eye(4) / 4)
+        state = pauli_coordinates(np.eye(4) / 4)
         np.testing.assert_allclose(fidelity(state, bell_state()), 0.25, atol=1e-12)
 
     def test_linear_in_the_state(self):
@@ -273,9 +278,9 @@ class TestFidelity:
             a = rng.uniform(0, 1)
             m1 = random_density_matrix(rng, 2)
             m2 = random_density_matrix(rng, 2)
-            mix = fidelity(DensityMatrix(2, a * m1 + (1 - a) * m2), target)
-            parts = a * fidelity(DensityMatrix(2, m1), target) + (1 - a) * fidelity(
-                DensityMatrix(2, m2), target
+            mix = fidelity(pauli_coordinates(a * m1 + (1 - a) * m2), target)
+            parts = a * fidelity(pauli_coordinates(m1), target) + (1 - a) * fidelity(
+                pauli_coordinates(m2), target
             )
             np.testing.assert_allclose(mix, parts, atol=1e-12)
 
@@ -297,21 +302,9 @@ class TestTargetStateEquality:
 
 class TestValidation:
     def test_density_matrix_shape_check(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(2, np.eye(3))
-
-    def test_validate_catches_bad_trace(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(1, np.eye(2)).validate()
-
-    def test_validate_catches_non_hermitian(self):
-        mat = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
-        with pytest.raises(ValueError):
-            DensityMatrix(1, mat).validate()
-
-    def test_validate_catches_negative_eigenvalue(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(1, np.diag([1.5, -0.5])).validate()
+        for shape in [(3, 3), (1, 1), (2, 4), (4,), (2, 2, 2)]:
+            with pytest.raises(ValueError, match=re.escape(f"2^n x 2^n matrix with n >= 1, got shape {shape}")):
+                pauli_coordinates(np.zeros(shape))
 
     def test_target_state_must_be_normalized(self):
         with pytest.raises(ValueError):
@@ -332,7 +325,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             NoiseSpec(meas_error=-0.1)
 
-    def test_elements_are_read_only(self):
-        state = initial_state(2)
-        with pytest.raises(ValueError):
-            state.elements[0, 0] = 5.0
+
+class TestStateVector:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_coordinates_and_matrix_round_trip(self, n):
+        rng = np.random.default_rng(50 + n)
+        for _ in range(10):
+            mat = random_density_matrix(rng, n)
+            coords = pauli_coordinates(mat)
+            np.testing.assert_allclose(density_matrix(coords), mat, atol=1e-12)
+            np.testing.assert_allclose(pauli_coordinates(density_matrix(coords)), coords, atol=1e-12)
+
+    def test_non_hermitian_matrix_is_refused(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            pauli_coordinates(np.array([[0.5, 0.5], [0.0, 0.5]]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            pauli_coordinates(np.diag([0.5, 0.5 + 1e-8j]))
+        pauli_coordinates(np.diag([0.5, 0.5 + 1e-10j]))
+
+    def test_states_are_read_only_float64_vectors(self):
+        noise = NoiseSpec(gate_error={kind: 0.1 for kind in GateKind})
+        for n in (1, 2, 3):
+            start = initial_state(n)
+            for state in [start] + [apply_gate(start, action, noise) for action in enumerate_actions(n)]:
+                assert state.dtype == np.float64 and state.shape == (4**n,)
+                with pytest.raises(ValueError):
+                    state[0] = 5.0
