@@ -162,15 +162,19 @@ def optimize(agent: "DQNAgent") -> float | None:
     """One replay-sampled gradient step of ``agent``; no-op (None) while its memory is short.
 
     Returns the pre-step batch loss otherwise; a loss that is not finite
-    raises FloatingPointError before the step.  Every stage but Adam's
-    runs in the agent's own buffers.
+    raises FloatingPointError before the step.  Target values are computed
+    only when the batch reads a next state that has none yet.  Every stage
+    but Adam's runs in the agent's own buffers.
     """
     config, memory, workspace = agent.config, agent.memory, agent.workspace
     if len(memory) < max(config.batch_size, config.min_replay):
         return None
-    values = memory.next_values(agent.target_net, workspace)
     batch = memory.sample(config.batch_size, agent.rng, agent.batch)
-    targets = compute_targets(batch, values, config.gamma, agent.targets)
+    ids, valued = batch.next_ids, memory.valued
+    # Ids from valued up to the table's length have no value yet; the terminal id, capacity, is above them all.
+    if valued < len(memory.ids) and np.count_nonzero(ids >= valued) > np.count_nonzero(ids == memory.capacity):
+        memory.next_values(agent.target_net, workspace)
+    targets = compute_targets(batch, memory.values, config.gamma, agent.targets)
     loss, grad = mse_loss_and_grad(agent.policy_net, batch.states, batch.actions, targets, workspace)
     if not math.isfinite(loss):
         raise FloatingPointError(f"TD loss is {loss}")

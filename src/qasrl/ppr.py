@@ -112,6 +112,9 @@ def softmax_select(scores: np.ndarray, temperature: float, rng: np.random.Genera
     scores = np.asarray(scores, dtype=float)
     if scores.size == 0:
         raise ValueError("no slots to select from")
+    if scores.size == 1:  # what the arithmetic below gives, after the same one draw
+        rng.random()
+        return np.array([1.0]), 0
     logits = temperature * scores
     logits = logits - logits.max()
     weights = np.exp(logits)

@@ -143,8 +143,11 @@ def pauli_coordinates(matrix) -> np.ndarray:
 
 
 def density_matrix(pauli: np.ndarray) -> np.ndarray:
-    """The read-only matrix sum_i pauli[i] P_i / 2^n of a state's coordinates."""
+    """The read-only matrix sum_i pauli[i] P_i / 2^n of a state's coordinates;
+    refuses a vector whose length is not 4^n with n >= 1."""
     n = len(pauli).bit_length() >> 1
+    if n < 1 or np.shape(pauli) != (4**n,):
+        raise ValueError(f"expected 4^n coordinates with n >= 1, got length {len(pauli)}")
     mat = np.tensordot(pauli, _pauli_basis(n), axes=1) / 2**n
     mat.setflags(write=False)
     return mat
@@ -223,7 +226,9 @@ def transfer_matrix(action: GateAction, n_qubits: int, p: float = 0.0) -> np.nda
 def apply_gate(state: np.ndarray, action: GateAction, noise: NoiseSpec | None = None) -> np.ndarray:
     """Conjugate by the gate unitary, then depolarize the touched qubits with
     the kind's error rate: one product with the cached ``transfer_matrix``.
-    The state has 4^n coordinates, whose bit length 2n + 1 gives n."""
+    The state has 4^n coordinates, whose bit length 2n + 1 gives n; it is
+    not checked, so it must be one the simulator made (``initial_state``,
+    ``apply_gate`` or ``pauli_coordinates``)."""
     p = noise.gate_p(action.kind) if noise is not None else 0.0
     out = transfer_matrix(action, len(state).bit_length() >> 1, p).dot(state)
     out.setflags(write=False)
@@ -232,7 +237,8 @@ def apply_gate(state: np.ndarray, action: GateAction, noise: NoiseSpec | None = 
 
 def pauli_expectations(state: np.ndarray, noise: NoiseSpec | None = None) -> np.ndarray:
     """Per-qubit <X>, <Y>, <Z> in qubit order, degraded by readout error:
-    a float vector of length 3 * n_qubits, each entry in [-1, 1]."""
+    a float vector of length 3 * n_qubits, each entry in [-1, 1].  Like
+    ``apply_gate``, it takes only a state the simulator made, unchecked."""
     scale = 1.0 - 2.0 * (noise.meas_error if noise is not None else 0.0)
     return (scale * state[_local_indices(len(state).bit_length() >> 1)]).clip(-1.0, 1.0)
 

@@ -1,5 +1,7 @@
 """Replay memory, TD targets, action selection and the optimize step."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -412,20 +414,58 @@ class TestTargetValues:
         assert after.tobytes() == max_q(agent.target_net, agent.memory.observations[:n]).tobytes()
         assert not np.array_equal(after, before)
 
-    def test_a_next_state_pushed_between_syncs_has_a_value_at_the_next_step(self):
+    def test_a_new_next_state_is_valued_before_a_batch_reads_it(self):
+        """Through 60 steps with a sync every 10, every id a batch reads is
+        valued before its targets are made, every id below ``valued`` has
+        the bits of a product of the workspace's 64 rows ending at that id,
+        and some steps leave new next states unvalued."""
         agent, data = DQNAgent(6, 12, DQNConfig(), np.random.default_rng(94)), np.random.default_rng(95)
+        memory, lagging = agent.memory, 0
         for _ in range(100):
-            agent.memory.push(*random_transition(data))
-        agent.learn()
-        for _ in range(3):
-            new = data.uniform(-1, 1, 6)
-            agent.memory.push(data.uniform(-1, 1, 6), 0, 0.0, new)
+            memory.push(*random_transition(data))
+        for step in range(60):
+            memory.push(*random_transition(data))
             agent.learn()
-            n = len(agent.memory.ids)
-            np.testing.assert_array_equal(agent.memory.observations[n - 1], new)
-            assert agent.memory.valued == n
-            full_rows = agent.memory.observations[np.maximum(np.arange(n - 64, n), 0)]
-            assert agent.memory.values[n - 1].tobytes() == max_q(agent.target_net, full_rows)[-1].tobytes()
+            ids = agent.batch.next_ids
+            assert ids[ids != memory.capacity].max() < memory.valued <= len(memory.ids)
+            lagging += memory.valued < len(memory.ids)
+            ending_at = (memory.observations[np.maximum(np.arange(i - 63, i + 1), 0)] for i in range(memory.valued))
+            expected = np.append([max_q(agent.target_net, rows)[-1] for rows in ending_at], -0.0)
+            assert memory.values[:memory.valued].tobytes() == expected[:-1].tobytes()
+            ids = np.minimum(ids, memory.valued)  # the terminal id reads the appended -0.0
+            assert agent.targets.tobytes() == (expected[ids] * 0.7 + agent.batch.rewards).tobytes()
+            if step % 10 == 9:
+                agent.sync_target()
+        assert lagging > 10
+
+    def test_a_batch_of_valued_ids_runs_no_target_forward(self):
+        """A step whose batch reads no new next state makes no target-network
+        forward and leaves every value as it was; the next batch that reads
+        one values it."""
+        agent, data = DQNAgent(6, 12, DQNConfig(), np.random.default_rng(97)), np.random.default_rng(98)
+        memory = agent.memory
+        for _ in range(100):
+            memory.push(*random_transition(data))
+        agent.learn()
+        memory.push(data.uniform(-1, 1, 6), 0, 0.0, data.uniform(-1, 1, 6))
+        new_slot, valued = len(memory) - 1, memory.valued
+        assert valued == len(memory.ids) - 1
+        forwards, forward = [], agent.target_net.forward
+        agent.target_net.forward = lambda *args: forwards.append(args) or forward(*args)
+
+        def draw_reads_new_slot() -> bool:
+            return new_slot in copy.deepcopy(agent.rng).choice(len(memory), size=64, replace=False)
+
+        while draw_reads_new_slot():
+            agent.rng.random()  # on to a draw that leaves the new slot out
+        values = memory.values.copy()
+        assert agent.learn() is not None
+        assert forwards == [] and memory.valued == valued and memory.values.tobytes() == values.tobytes()
+        while not draw_reads_new_slot():
+            agent.rng.random()
+        agent.learn()
+        assert len(forwards) == 1 and memory.values[:valued].tobytes() == values[:valued].tobytes()
+        assert memory.valued == len(memory.ids)
 
     def test_table_stays_within_the_ring_capacity(self):
         """A ring of 4 sees 60 distinct next states in episodes of 1 to 5
@@ -474,20 +514,23 @@ class TestAgent:
         np.testing.assert_array_equal(agent.policy_net.forward(x), agent.target_net.forward(x))
 
     def test_batch_of_one_values_next_states_in_one_row_products(self):
-        """With batch_size 1 the agent's workspace holds 1 row, and every
-        table value, through 100 learn steps and a sync every 10, has the
-        bits of a 1-row product of its next state."""
+        """With batch_size 1 the agent's workspace holds 1 row, and through
+        100 learn steps and a sync every 10, every id below ``valued`` has
+        the bits of a 1-row product of its next state, the one id each
+        batch reads among them."""
         agent = DQNAgent(6, 12, DQNConfig(batch_size=1, min_replay=1), np.random.default_rng(10))
-        data = np.random.default_rng(11)
+        data, checked = np.random.default_rng(11), 0
         for step in range(100):
             agent.memory.push(*random_transition(data))
             assert agent.learn() is not None
-            n = len(agent.memory.ids)
+            n = agent.memory.valued
+            assert agent.batch.next_ids[0] in (*range(n), agent.memory.capacity)
             one_row = np.array([max_q(agent.target_net, agent.memory.observations[i:i + 1])[0] for i in range(n)])
             assert agent.memory.values[:n].tobytes() == one_row.tobytes()
+            checked += n
             if step % 10 == 9:
                 agent.sync_target()
-        assert agent.adam.t == 100 and n > 50
+        assert agent.adam.t == 100 and len(agent.memory.ids) > 50 and checked > 1000
 
     def test_steps_in_one_workspace_match_fresh_buffers(self):
         """200 learn steps in the agent's own buffers give the same losses,

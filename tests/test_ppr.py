@@ -1,6 +1,7 @@
 """Policy-reuse tests: softmax selection, running-mean stats, episode
 drivers with a hand-built solver policy, and the full run loop."""
 
+import copy
 import json
 import math
 
@@ -66,6 +67,15 @@ class TestSoftmaxSelect:
         p = math.exp(1.0) / (math.exp(1.0) + 1.0)
         sigma = math.sqrt(trials * p * (1 - p))
         assert abs(counts[0] - trials * p) <= 5 * sigma
+
+    def test_one_slot_draws_as_rng_choice(self):
+        rng = np.random.default_rng(4)
+        for score, temperature in [(0.9, 1.0), (-3.0, 0.0), (1e300, 20.0)]:
+            twin = copy.deepcopy(rng)
+            probs, slot = softmax_select(np.array([score]), temperature, rng)
+            assert slot == int(twin.choice(1, p=[1.0])) == 0
+            assert probs.tolist() == [1.0]
+            assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_empty_scores_raise(self):
         with pytest.raises(ValueError):

@@ -336,6 +336,11 @@ class TestStateVector:
             np.testing.assert_allclose(density_matrix(coords), mat, atol=1e-12)
             np.testing.assert_allclose(pauli_coordinates(density_matrix(coords)), coords, atol=1e-12)
 
+    @pytest.mark.parametrize("length", [0, 1, 8, 15, 17])
+    def test_matrix_of_a_vector_not_of_4_to_the_n_entries_is_refused(self, length):
+        with pytest.raises(ValueError, match=f"expected 4\\^n coordinates with n >= 1, got length {length}$"):
+            density_matrix(np.zeros(length))
+
     def test_non_hermitian_matrix_is_refused(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             pauli_coordinates(np.array([[0.5, 0.5], [0.0, 0.5]]))
