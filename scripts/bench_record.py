@@ -20,6 +20,7 @@ keeps what it measured.
 import argparse
 import ctypes
 import json
+import math
 import os
 import platform
 import subprocess
@@ -62,21 +63,37 @@ def quartiles(xs) -> list[float]:
     return [round(float(q), 6) for q in np.percentile(xs, [25, 50, 75])]
 
 
-def summarize(pairs: list[dict], better: dict[str, str], claim: str | None) -> dict:
-    """Per metric: each side's quartiles, and the pairs the change won or tied."""
+def relative(delta: float, reference: float) -> float:
+    """delta as a fraction of |reference|; infinite for a nonzero delta from a zero reference."""
+    if reference:
+        return delta / abs(reference)
+    return math.copysign(math.inf, delta) if delta else 0.0
+
+
+def summarize(pairs: list[dict], end_to_end: list[dict], claim: str | None) -> dict:
+    """Per end-to-end metric (BENCHMARK.json's entries: name, better, bound):
+    each side's quartiles, the pairs the change won or tied, the shift of the
+    change's median from the parent's as a fraction of the parent's, whether
+    that shift is within the metric's bound, and whether the parent's own
+    spread leaves it unresolved."""
     out = {}
-    for name, direction in better.items():
+    for metric in end_to_end:
+        name, bound = metric["name"], metric["bound"]
         p = np.array([values(pair["parent"])[name] for pair in pairs])
         c = np.array([values(pair["change"])[name] for pair in pairs])
-        sign = 1.0 if direction == "higher" else -1.0
+        sign = 1.0 if metric["better"] == "higher" else -1.0
+        q1, med, q3 = np.percentile(p, [25, 50, 75])
+        shift, spread = relative(float(np.median(c) - med), med), relative(float(q3 - q1), med)
         row = {"parent_q1_median_q3": quartiles(p), "change_q1_median_q3": quartiles(c),
-               "median_ratio_change_over_parent": round(float(np.median(c) / np.median(p)), 4),
                "change_better_pairs": int((sign * (c - p) > 0).sum()), "ties": int((c == p).sum()),
-               "pairs": len(pairs)}
+               "pairs": len(pairs), "median_shift": round(shift, 4), "parent_spread": round(spread, 4),
+               "within_bound": bool(-sign * shift <= bound),
+               # A parent spread wider than the bound cannot tell a shift within it from noise,
+               # unless every run of the change is better than every run of the parent.
+               "unresolved": bool(spread > bound and (sign * c).min() <= (sign * p).max())}
         if name == claim:
-            q1, med, q3 = row["parent_q1_median_q3"]
             row["claim_met"] = bool(row["change_better_pairs"] >= 0.9 * len(pairs)
-                                    and sign * (row["change_q1_median_q3"][1] - med) > q3 - q1)
+                                    and sign * (np.median(c) - med) > q3 - q1)
         out[name] = row
     return out
 
@@ -113,7 +130,6 @@ def main() -> None:
     args = parser.parse_args()
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     claim_workload, _, claim_metric = (args.claim or "").partition(":")
     record = {
         "change": args.note,
@@ -124,6 +140,9 @@ def main() -> None:
                        "alternating which runs first (the parent in the first pair)",
             "tier1": " ".join(["PYTHONPATH=src", "python", *TIER1[1:]]),
         },
+        "regression_rule": "each metric's median_shift no worse than its bound; unresolved where the "
+                           "parent's quartile distance over its median exceeds the bound and some run of "
+                           "the change is not better than every run of the parent",
         "claim": {"workload": claim_workload, "metric": claim_metric,
                   "rule": "change better in at least 9 of 10 pairs and medians apart "
                           "by more than the parent's quartile distance"} if args.claim else None,
@@ -151,7 +170,7 @@ def main() -> None:
                 pair[side] = perfbench(dirs[side], workload, seed, bench["run_seconds"], 0)
             pairs.append(pair)
             record["workloads"][workload]["summary"] = summarize(
-                pairs, better, claim_metric if workload == claim_workload else None)
+                pairs, bench["end_to_end"], claim_metric if workload == claim_workload else None)
             record["workloads"][workload]["failed_operations_total"] = {
                 side: sum(json.loads(pair[side][-1])["failed"] for pair in pairs) for side in SIDES}
             save()

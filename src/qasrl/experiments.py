@@ -94,6 +94,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must not be negative, got {self.seed}")
+        if not self.out:
+            raise ValueError("out must name the output directory, got ''")
         if self.mode not in ("from_scratch", "ppr"):
             raise ValueError(f"mode must be from_scratch or ppr, got {self.mode!r}")
         if self.mode == "ppr" and not self.library:

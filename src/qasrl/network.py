@@ -8,7 +8,6 @@ actually taken in each sampled transition.
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -57,14 +56,20 @@ class QNetwork:
     def forward(self, inputs: np.ndarray, workspace: "Workspace | None" = None) -> np.ndarray:
         """Q-values for one observation (1-D) or a batch (2-D).  One
         observation runs as vector products, whose bits equal a 1-row
-        batch's.  With a workspace each layer of a batch writes into its
-        buffer's leading rows, and the result is a view of
-        ``workspace.out``; otherwise into new arrays."""
+        batch's.  With a workspace, which must be made for this network
+        and the batch's row count, each layer of a batch writes into its
+        buffer and the result is ``workspace.out``; otherwise into new
+        arrays."""
         x = np.asarray(inputs, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.layer_sizes[0]:
             raise ValueError(f"input shape {x.shape} does not match network input {self.layer_sizes[0]}")
         single = x.ndim == 1
-        outs = [None] * len(self.weights) if workspace is None or single else workspace.rows(len(x)).layers
+        outs = [None] * len(self.weights)
+        if workspace is not None and not single:
+            if len(x) != len(workspace.out) or workspace.layer_sizes != self.layer_sizes:
+                raise ValueError(f"a workspace of {len(workspace.out)} rows for layer sizes {workspace.layer_sizes} "
+                                 f"does not fit a batch of {len(x)} rows for layer sizes {self.layer_sizes}")
+            outs = workspace.layers
         h = x
         for w, b, buffer in zip(self.weights, self.biases, outs):
             if h is not x:  # ReLU on each hidden layer
@@ -74,46 +79,28 @@ class QNetwork:
         return h
 
 
-class Rows(NamedTuple):
-    """A workspace's buffers cut to a batch's leading rows."""
-
-    layers: list[np.ndarray]  # each layer's output: the hidden activations, then the Q-values
-    masks: list[np.ndarray]   # each hidden layer's ReLU mask
-    deltas: list[np.ndarray]  # the loss gradient at each layer's output
-    row_starts: np.ndarray    # flat index of each row's first output
-    taken: np.ndarray         # flat index of each row's taken action
-    err: np.ndarray
-    err_sq: np.ndarray
-
-
 class Workspace:
-    """Every forward and backward buffer for ``net``'s architecture on
-    batches of up to ``rows`` rows, allocated once.
+    """Every forward and backward buffer for a batch of exactly ``rows``
+    rows through ``net``'s architecture, allocated once.
 
     A target-value refresh finishes before the policy pass starts, so both
-    write their activations into the same per-layer buffers.  ``whole``
-    holds the buffers themselves, for batches of all ``rows`` rows; a
-    smaller batch gets row slices of them.  The gradient is laid out like
+    write their activations into the same per-layer buffers.  ``forward``
+    refuses any other row count, so every product has this one: on some
+    BLAS kernels a row's bits depend on it.  The gradient is laid out like
     ``net.params``.
     """
 
     def __init__(self, net: QNetwork, rows: int):
-        sizes = net.layer_sizes
-        self.whole = Rows([np.empty((rows, n)) for n in sizes[1:]],
-                          [np.empty((rows, n), dtype=bool) for n in sizes[1:-1]],
-                          [np.empty((rows, n)) for n in sizes[1:]],
-                          np.arange(rows) * sizes[-1], np.empty(rows, dtype=int), np.empty(rows), np.empty(rows))
-        self.out = self.whole.layers[-1]
+        sizes = self.layer_sizes = net.layer_sizes
+        self.layers = [np.empty((rows, n)) for n in sizes[1:]]  # the hidden activations, then the Q-values
+        self.out = self.layers[-1]
+        self.masks = [np.empty((rows, n), dtype=bool) for n in sizes[1:-1]]  # each hidden layer's ReLU mask
+        self.deltas = [np.empty((rows, n)) for n in sizes[1:]]  # the loss gradient at each layer's output
+        self.row_starts = np.arange(rows) * sizes[-1]  # flat index of each row's first output
+        self.taken = np.empty(rows, dtype=int)         # flat index of each row's taken action
+        self.err, self.err_sq = np.empty(rows), np.empty(rows)
         self.grad = np.empty_like(net.params)
         self.grad_weights, self.grad_biases = net.layer_views(self.grad)
-
-    def rows(self, n: int) -> Rows:
-        """Every buffer's leading ``n`` rows: ``whole`` when that is all of them."""
-        if n == len(self.out):
-            return self.whole
-        layers, masks, deltas, *vectors = self.whole
-        return Rows([b[:n] for b in layers], [b[:n] for b in masks], [b[:n] for b in deltas],
-                    *(v[:n] for v in vectors))
 
 
 def mse_loss_and_grad(net: QNetwork, inputs: np.ndarray, actions: np.ndarray, targets: np.ndarray,
@@ -139,30 +126,29 @@ def mse_loss_and_grad(net: QNetwork, inputs: np.ndarray, actions: np.ndarray, ta
     if np.minimum.reduce(acts_idx) < 0 or np.maximum.reduce(acts_idx) >= net.output_dim:
         raise ValueError("action index out of range")
     ws = Workspace(net, batch) if workspace is None else workspace
-    rows = ws.rows(batch)
-    out = net.forward(x, ws)
+    out = net.forward(x, ws)  # refuses a workspace that does not fit, before anything is written
 
     # Flat indices of the taken actions; in range by the check above, so
     # take and put need not buffer their output against an index error.
-    taken = np.add(rows.row_starts, acts_idx, out=rows.taken)
-    err = out.take(taken, None, rows.err, "clip")
+    taken = np.add(ws.row_starts, acts_idx, out=ws.taken)
+    err = out.take(taken, None, ws.err, "clip")
     err -= tgt
-    err_sq = np.multiply(err, err, out=rows.err_sq)
+    err_sq = np.multiply(err, err, out=ws.err_sq)
     loss = float(np.add.reduce(err_sq)) / batch  # np.mean's sum, then divide
 
     err *= 2.0
     err /= batch
-    delta = rows.deltas[-1]
+    delta = ws.deltas[-1]
     delta.fill(0.0)
     delta.put(taken, err, "clip")
     for layer in range(len(net.weights) - 1, -1, -1):
-        h = rows.layers[layer - 1] if layer else x  # the layer's input, as forward left it
+        h = ws.layers[layer - 1] if layer else x  # the layer's input, as forward left it
         np.matmul(h.T, delta, out=ws.grad_weights[layer])
         np.add.reduce(delta, axis=0, out=ws.grad_biases[layer])
         if layer > 0:
-            delta = np.matmul(delta, net.weights[layer].T, out=rows.deltas[layer - 1])
+            delta = np.matmul(delta, net.weights[layer].T, out=ws.deltas[layer - 1])
             # The ReLU mask from the activation: relu(z) > 0 exactly where z > 0, zeros and NaN included.
-            delta *= np.greater(h, 0.0, out=rows.masks[layer - 1])
+            delta *= np.greater(h, 0.0, out=ws.masks[layer - 1])
     return loss, ws.grad
 
 

@@ -1,5 +1,6 @@
 """scripts/bench_record.py: its seed specs, the pair rule that decides
-whether a claimed gain is met, and the BLAS kernel a record names."""
+whether a claimed gain is met, the no-regression rule, and the BLAS
+kernel a record names."""
 
 import importlib.util
 import json
@@ -15,8 +16,13 @@ _SPEC = importlib.util.spec_from_file_location("bench_record", SCRIPT)
 bench_record = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_record)
 
-# Quartiles 102.25 and 106.75: a quartile distance of 4.5.
+# Quartiles 102.25 and 106.75: a quartile distance of 4.5, 4.3% of the median 104.5.
 PARENT = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
+
+
+def metric(better: str, bound: float = 0.2) -> list[dict]:
+    """One end-to-end metric "m", as BENCHMARK.json declares it."""
+    return [{"name": "m", "unit": "1/s", "better": better, "bound": bound}]
 
 
 def test_seed_specs():
@@ -42,11 +48,37 @@ def test_claim_needs_nine_of_ten_pairs_and_a_gap_beyond_the_quartiles(better, ga
     sign = 1.0 if better == "higher" else -1.0
     pairs = [{"parent": result_lines(p), "change": result_lines(p + sign * gain)}
              for p, gain in zip(PARENT, gains)]
-    row = bench_record.summarize(pairs, {"m": better}, "m")["m"]
+    row = bench_record.summarize(pairs, metric(better), "m")["m"]
     assert row["claim_met"] is met
     assert row["change_better_pairs"] == sum(gain > 0 for gain in gains)
     assert row["ties"] == gains.count(0.0)
-    assert "claim_met" not in bench_record.summarize(pairs, {"m": better}, None)["m"]
+    assert "claim_met" not in bench_record.summarize(pairs, metric(better), None)["m"]
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+@pytest.mark.parametrize("worse_by, bound, within, unresolved", [
+    (5.0, 0.2, True, False),      # 4.8% worse, bound 20%, spread 4.3%: within
+    (31.35, 0.2, False, False),   # 30% worse: beyond the bound
+    (2.0, 0.01, False, True),     # 1.9% worse, and a spread of 4.3% over a bound of 1%: unresolved
+    (-2.0, 0.01, True, True),     # better in the median, yet no sharper than the spread
+    (-20.0, 0.01, True, False),   # every change run better than every parent run: resolved
+], ids=["within", "beyond", "unresolved", "better_but_unresolved", "resolved_by_every_run"])
+def test_regression_is_the_median_shift_against_the_bound(better, worse_by, bound, within, unresolved):
+    sign = 1.0 if better == "higher" else -1.0
+    pairs = [{"parent": result_lines(p), "change": result_lines(p - sign * worse_by)} for p in PARENT]
+    row = bench_record.summarize(pairs, metric(better, bound), None)["m"]
+    assert row["median_shift"] == pytest.approx(-sign * worse_by / 104.5, abs=1e-4)
+    assert row["parent_spread"] == pytest.approx(4.5 / 104.5, abs=1e-4)
+    assert row["within_bound"] is within
+    assert row["unresolved"] is unresolved
+
+
+def test_a_shift_from_a_zero_median_is_infinite():
+    pairs = [{"parent": result_lines(0.0), "change": result_lines(c)} for c in (-1.0, -1.0, 0.0)]
+    row = bench_record.summarize(pairs, metric("higher"), None)["m"]
+    assert row["median_shift"] == float("-inf") and not row["within_bound"]
+    same = bench_record.summarize([{"parent": result_lines(0.0), "change": result_lines(0.0)}], metric("higher"), None)
+    assert same["m"]["median_shift"] == 0.0 and same["m"]["within_bound"] and not same["m"]["unresolved"]
 
 
 def test_machine_names_the_blas_kernel_in_use():

@@ -620,6 +620,18 @@ class TestCli:
         assert capsys.readouterr().err == "error: mode must be from_scratch or ppr, got 'foo'\n"
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config_file"])
+    def test_empty_out_is_one_line_error(self, tmp_path, capsys, monkeypatch, from_file):
+        """An empty out would put the run's files in the working directory."""
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.txt"
+        config.write_text("episodes = 2\nout = \n")
+        argv = ["run", "--config", str(config)] if from_file else ["run", "--episodes", "2", "--out", ""]
+        assert main(argv) == 1
+        prefix = f"{config}: " if from_file else ""
+        assert capsys.readouterr().err == f"error: {prefix}out must name the output directory, got ''\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.txt"]
+
     # 256 PiB and 2.22 EiB: beyond any user address space, so refused at once.
     @pytest.mark.parametrize("field, value", [("replay_capacity", 2**55), ("hidden1", 2**52)])
     def test_impossible_allocation_is_one_line_error(self, tmp_path, capsys, field, value):

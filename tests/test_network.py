@@ -208,6 +208,30 @@ def flatten_grads(net, grad):
     return out
 
 
+@pytest.mark.parametrize("workspace_sizes, workspace_rows, net_sizes, batch", [
+    ([6, 12, 12], 64, [6, 12, 12], 65),
+    ([6, 12, 12], 64, [6, 12, 12], 63),
+    ([6, 12, 12, 12], 64, [6, 12, 12], 64),
+], ids=["more_rows", "fewer_rows", "other_architecture"])
+def test_a_workspace_that_does_not_fit_is_refused(workspace_sizes, workspace_rows, net_sizes, batch):
+    """forward and mse_loss_and_grad refuse a workspace made for another row
+    count or architecture with one error naming both, and write nothing."""
+    rng = np.random.default_rng(81)
+    net = QNetwork(net_sizes, rng=rng)
+    workspace = Workspace(QNetwork(workspace_sizes), workspace_rows)
+    workspace.out[:], workspace.grad[:] = 7.0, 7.0
+    x, actions, targets = rng.normal(size=(batch, 6)), rng.integers(12, size=batch), rng.normal(size=batch)
+    params = net.params.copy()
+    message = (f"a workspace of {workspace_rows} rows for layer sizes {workspace_sizes} "
+               f"does not fit a batch of {batch} rows for layer sizes {net_sizes}")
+    for call in (lambda: net.forward(x, workspace), lambda: mse_loss_and_grad(net, x, actions, targets, workspace)):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == message
+    assert net.params.tobytes() == params.tobytes()
+    assert (workspace.out == 7.0).all() and (workspace.grad == 7.0).all()
+
+
 class TestAdam:
     def _random_grads(self, net, rng):
         return rng.normal(size=net.params.size)
@@ -544,20 +568,21 @@ class TestBitIdenticalToPlainFormulas:
             expected = plain_targets(net, rewards, next_states, live, 0.7)
             assert same_bits(compute_targets(batch, values, 0.7), expected)
 
-    def test_one_workspace_serves_every_batch_size(self):
-        """One workspace and one targets buffer per architecture serve
-        target-value, target and loss calls of 1, 63, 64 and random row
-        counts with 0, 1, all but one or all rows live, in the order
-        optimize makes them, so stale rows of
-        a bigger call are always there; every result equals the plain
-        formulas and a call with fresh buffers."""
+    def test_reused_workspaces_give_the_bits_of_fresh_buffers(self):
+        """One 64-row workspace for target values and one targets buffer per
+        architecture, and one loss workspace per batch size, serve calls of
+        1, 63, 64 and random row counts with 0, 1, all but one or all rows
+        live, in the order optimize makes them, so stale rows of earlier
+        calls are always there; every result equals the plain formulas and
+        a call with fresh buffers."""
         rng = np.random.default_rng(78)
         for sizes in self.ARCHITECTURES:
             net = QNetwork(sizes, rng=rng)
             net.params[:] += 0.1 * rng.normal(size=net.params.size)
-            workspace, targets_buffer = Workspace(net, 64), np.empty(64)
+            values_workspace, targets_buffer, loss_workspaces = Workspace(net, 64), np.empty(64), {}
             for trial in range(80):
                 n = self.BATCH_SIZES[trial % 4] or int(rng.integers(2, 65))
+                workspace = loss_workspaces.setdefault(n, Workspace(net, n))
                 live = np.zeros(n, dtype=bool)
                 n_live = (0, 1, n - 1, n, int(rng.integers(0, n + 1)))[trial % 5]
                 live[rng.choice(n, size=n_live, replace=False)] = True
@@ -569,7 +594,7 @@ class TestBitIdenticalToPlainFormulas:
                 fresh = memory.next_values(net, Workspace(net, 64)).copy()
                 assert same_bits(compute_targets(batch, fresh, 0.7), expected)
                 memory.valued = 0
-                values = memory.next_values(net, workspace)
+                values = memory.next_values(net, values_workspace)
                 targets = compute_targets(batch, values, 0.7, targets_buffer[:n])
                 assert same_bits(targets, expected)
 
@@ -580,6 +605,7 @@ class TestBitIdenticalToPlainFormulas:
                 assert loss == plain_loss == fresh_loss
                 assert same_bits(grad, plain_grad) and same_bits(grad, fresh_grad)
                 assert same_bits(net.forward(batch.states, workspace), plain_forward(net, batch.states))
+            assert len(loss_workspaces) > 4  # the random sizes made some of their own
 
     def test_stacked_adam_over_500_steps(self):
         """m and v as the rows of one array, updated together in the
