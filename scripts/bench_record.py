@@ -5,7 +5,9 @@
         --pairs scratch=201-210 rollout=211-213 curriculum=214-216 --trace scratch=217,218
 
 Both directories are checkouts holding perfbench/, BENCHMARK.json and
-src/qasrl.  For each seed of a workload the two sides run
+src/qasrl; the record names each side's commit and whether its tree had
+uncommitted changes, as it names the machine.  For each seed of a
+workload the two sides run
 
     python3 perfbench/run.py --workload W --seed S --seconds <run_seconds> --trace 0
 
@@ -118,6 +120,19 @@ def machine() -> dict:
             "cores": os.cpu_count(), "os": platform.system()}
 
 
+def checkout(d: Path) -> dict:
+    """The commit checked out in ``d`` and whether its tree has uncommitted changes
+    (``git status --porcelain`` prints anything), both 'unknown' where ``d`` is not a git checkout."""
+    def git(*argv: str) -> str:
+        return subprocess.run(["git", "-C", str(d), *argv], capture_output=True, text=True, check=True).stdout
+
+    try:
+        head, status = git("rev-parse", "HEAD"), git("status", "--porcelain")
+    except (OSError, subprocess.CalledProcessError):
+        return {"commit": "unknown", "uncommitted_changes": "unknown"}
+    return {"commit": head.strip(), "uncommitted_changes": bool(status)}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -134,6 +149,7 @@ def main() -> None:
     record = {
         "change": args.note,
         "machine": machine(),
+        "code": {side: checkout(d) for side, d in dirs.items()},
         "method": {
             "command": f"python3 perfbench/run.py --workload W --seed S --seconds {bench['run_seconds']} --trace 0",
             "pairing": "one pair per seed, the two sides one after the other, "

@@ -116,14 +116,10 @@ class DQNConfig:
     batch_size: int = 64
     min_replay: int = 64
     replay_capacity: int = 10_000
-    target_update_period: int = 10
     learning_rate: float = AdamState.learning_rate
     adam_beta1: float = AdamState.beta1
     adam_beta2: float = AdamState.beta2
     hidden_sizes: tuple[int, ...] = (64, 64)
-    epsilon_start: float = 1.0
-    epsilon_decay: float = 0.99
-    epsilon_min: float = 0.02
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -138,11 +134,6 @@ class DQNConfig:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if any(size < 1 for size in self.hidden_sizes):
             raise ValueError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
-        if self.target_update_period < 1:
-            raise ValueError(f"target_update_period must be positive, got {self.target_update_period}")
-        for name in ("epsilon_start", "epsilon_decay", "epsilon_min"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} out of [0, 1]: {getattr(self, name)}")
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} out of [0, 1): {getattr(self, name)}")

@@ -54,13 +54,14 @@ class ExperimentConfig:
     the fields feed.
     """
 
+    # the run, mapped by hand; episodes feeds PPRConfig
     env_id: int = 0
     mode: str = "from_scratch"
     library: str | None = None
     seed: int = 0
     episodes: int = PPRConfig.episodes
     out: str = "runs/latest"
-    # environment
+    # EnvConfig, meas_error and error_* through its NoiseSpec
     fidelity_threshold: float = EnvConfig.fidelity_threshold
     max_steps: int = EnvConfig.max_steps
     step_penalty: float = EnvConfig.step_penalty
@@ -71,21 +72,21 @@ class ExperimentConfig:
     error_z: float | None = None
     error_h: float | None = None
     error_cnot: float | None = None
-    # q-learning
+    # DQNConfig, hidden1 and hidden2 as its hidden_sizes, but target_update_period feeds PPRConfig
     gamma: float = DQNConfig.gamma
     batch_size: int = DQNConfig.batch_size
     min_replay: int = DQNConfig.min_replay
     replay_capacity: int = DQNConfig.replay_capacity
-    target_update_period: int = DQNConfig.target_update_period
+    target_update_period: int = PPRConfig.target_update_period
     learning_rate: float = DQNConfig.learning_rate
     adam_beta1: float = DQNConfig.adam_beta1
     adam_beta2: float = DQNConfig.adam_beta2
     hidden1: int = DQNConfig.hidden_sizes[0]
     hidden2: int = DQNConfig.hidden_sizes[1]
-    epsilon_start: float = DQNConfig.epsilon_start
-    epsilon_decay: float = DQNConfig.epsilon_decay
-    epsilon_min: float = DQNConfig.epsilon_min
-    # policy reuse
+    # PPRConfig: slot 0's exploration, then the reuse schedule
+    epsilon_start: float = PPRConfig.epsilon_start
+    epsilon_decay: float = PPRConfig.epsilon_decay
+    epsilon_min: float = PPRConfig.epsilon_min
     temperature_init: float = PPRConfig.temperature_init
     temperature_step: float = PPRConfig.temperature_step
     follow_prob: float = PPRConfig.follow_prob
@@ -277,8 +278,7 @@ def run_curriculum(seed: int, output_dir, episodes: int = ExperimentConfig.episo
     file shows this seed and episode count, its log and policy are read back
     from runlog.csv, at 12 significant digits, and policy.qnet.
     """
-    if seed < 0:
-        raise ValueError(f"seed must not be negative, got {seed}")
+    ExperimentConfig(seed=seed, episodes=episodes, out=str(output_dir))  # the checks and messages of qasrl run
     out = Path(output_dir)
     library = PolicyLibrary()
     logs = []

@@ -29,7 +29,8 @@ LIBRARY_FORMAT_VERSION = 1
 
 @dataclass
 class PPRConfig:
-    """Run-level knobs and the reuse schedule; defaults reproduce the experiment setup."""
+    """The episode schedule: slot 0's exploration, the target sync and the
+    reuse schedule; defaults reproduce the experiment setup."""
 
     episodes: int = 1000
     temperature_init: float = 0.0
@@ -37,17 +38,23 @@ class PPRConfig:
     follow_prob: float = 1.0
     follow_decay: float = 0.95
     use_epsilon_greedy: bool = False
+    epsilon_start: float = 1.0
+    epsilon_decay: float = 0.99
+    epsilon_min: float = 0.02
+    target_update_period: int = 10
     dqn: DQNConfig = field(default_factory=DQNConfig)
 
     def __post_init__(self):
         if self.episodes < 0:
             raise ValueError(f"episodes must not be negative, got {self.episodes}")
+        if self.target_update_period < 1:
+            raise ValueError(f"target_update_period must be positive, got {self.target_update_period}")
         for name in ("temperature_init", "temperature_step"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.temperature_step < 0:
             raise ValueError(f"temperature_step must not be negative, got {self.temperature_step}")
-        for name in ("follow_prob", "follow_decay"):
+        for name in ("epsilon_start", "epsilon_decay", "epsilon_min", "follow_prob", "follow_decay"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} out of [0, 1]: {getattr(self, name)}")
 
@@ -211,7 +218,7 @@ def ppr_run(env: CircuitEnv, library: PolicyLibrary, config: PPRConfig,
     agent_rng, behavior_rng = rng.spawn(2)
     agent = DQNAgent(env.observation_dim, env.n_actions, config.dqn, agent_rng)
     stats = ReuseStats.fresh(len(library) + 1)
-    epsilon = config.dqn.epsilon_start if config.use_epsilon_greedy else 0.0
+    epsilon = config.epsilon_start if config.use_epsilon_greedy else 0.0
     log: list[RunRow] = []
     for episode in range(1, config.episodes + 1):
         temperature = config.temperature(episode - 1)
@@ -225,8 +232,8 @@ def ppr_run(env: CircuitEnv, library: PolicyLibrary, config: PPRConfig,
             raise FloatingPointError(f"learning went non-finite in episode {episode}: {exc}") from None
         stats.record(slot, record.score)
         if config.use_epsilon_greedy:
-            epsilon = max(config.dqn.epsilon_min, epsilon * config.dqn.epsilon_decay)
-        if episode % config.dqn.target_update_period == 0:
+            epsilon = max(config.epsilon_min, epsilon * config.epsilon_decay)
+        if episode % config.target_update_period == 0:
             agent.sync_target()
         log.append(RunRow(episode, record.score, record.steps, record.final_fidelity,
                           slot, temperature))

@@ -1,6 +1,6 @@
 """scripts/bench_record.py: its seed specs, the pair rule that decides
 whether a claimed gain is met, the no-regression rule, and the BLAS
-kernel a record names."""
+kernel and the code of each side a record names."""
 
 import importlib.util
 import json
@@ -96,3 +96,24 @@ def test_machine_names_the_blas_kernel_in_use():
 def test_blas_kernel_is_unknown_where_the_library_does_not_name_it(monkeypatch):
     monkeypatch.setattr(bench_record.ctypes, "CDLL", lambda path: object())
     assert bench_record.blas_core() == "unknown"
+
+
+def git(repo: Path, *argv: str) -> str:
+    return subprocess.run(["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+                           *argv], capture_output=True, text=True, check=True).stdout
+
+
+def test_a_record_names_each_sides_commit_and_whether_its_tree_changed(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git(repo, "init", "-q")
+    (repo / "a.txt").write_text("one\n")
+    git(repo, "add", "a.txt")
+    git(repo, "commit", "-q", "-m", "one")
+    head = git(repo, "rev-parse", "HEAD").strip()
+    assert bench_record.checkout(repo) == {"commit": head, "uncommitted_changes": False}
+    (repo / "a.txt").write_text("two\n")
+    assert bench_record.checkout(repo) == {"commit": head, "uncommitted_changes": True}
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert bench_record.checkout(plain) == {"commit": "unknown", "uncommitted_changes": "unknown"}

@@ -581,14 +581,14 @@ class TestConfigValidation:
         (dict(learning_rate=-1e-3), "learning_rate"),
         (dict(learning_rate=float("inf")), "learning_rate"),
         (dict(learning_rate=float("nan")), "learning_rate"),
-        (dict(target_update_period=0), "target_update_period"),
-        (dict(target_update_period=-3), "target_update_period"),
-        (dict(epsilon_start=1.5), "epsilon_start"),
-        (dict(epsilon_start=-0.1), "epsilon_start"),
-        (dict(epsilon_decay=2.0), "epsilon_decay"),
-        (dict(epsilon_decay=float("nan")), "epsilon_decay"),
-        (dict(epsilon_min=-0.01), "epsilon_min"),
-        (dict(epsilon_min=1.01), "epsilon_min"),
+        (dict(min_replay=-1), "min_replay"),
+        (dict(batch_size=-1), "batch_size"),
+        (dict(replay_capacity=0), "replay_capacity"),
+        (dict(gamma=float("inf")), "gamma"),
+        (dict(learning_rate=float("-inf")), "learning_rate"),
+        (dict(adam_beta1=float("nan")), "adam_beta1"),
+        (dict(adam_beta2=-0.1), "adam_beta2"),
+        (dict(hidden_sizes=(0,)), "hidden_sizes"),
         (dict(adam_beta1=1.0), "adam_beta1"),
         (dict(adam_beta1=-0.1), "adam_beta1"),
         (dict(adam_beta2=2.0), "adam_beta2"),
@@ -602,8 +602,8 @@ class TestConfigValidation:
             DQNConfig(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(target_update_period=1),
-        dict(epsilon_start=0.0, epsilon_decay=1.0, epsilon_min=1.0),
+        dict(gamma=0.0, min_replay=0),
+        dict(batch_size=1, replay_capacity=1),
         dict(adam_beta1=0.0, adam_beta2=0.0),
         dict(hidden_sizes=(1, 1)),
     ])

@@ -2,6 +2,8 @@
 artifacts, determinism, curriculum resume, the PNG score plot, and the
 CLI entry point."""
 
+import dataclasses
+import itertools
 import os
 import re
 import shutil
@@ -15,6 +17,8 @@ import qasrl.experiments
 import qasrl.ppr
 from conftest import bell_solver_network, poison_agents
 from qasrl.cli import main
+from qasrl.dqn import DQNConfig
+from qasrl.env import EnvConfig
 from qasrl.experiments import (
     CSV_COLUMNS,
     ENVIRONMENT_NOISE,
@@ -31,7 +35,7 @@ from qasrl.experiments import (
     run_single,
 )
 from qasrl.network import write_file
-from qasrl.ppr import PolicyLibrary, load_library, save_library
+from qasrl.ppr import PolicyLibrary, PPRConfig, load_library, save_library
 from qasrl.quantum import GateKind
 
 
@@ -154,6 +158,27 @@ class TestExperimentConfig:
     def test_from_scratch_uses_epsilon_greedy(self):
         assert ExperimentConfig(mode="from_scratch").ppr_config().use_epsilon_greedy
         assert not ExperimentConfig(mode="ppr", library="lib").ppr_config().use_epsilon_greedy
+
+    def test_each_routed_field_arrives_in_the_one_config_that_owns_it(self):
+        hand_mapped = {"env_id", "mode", "library", "seed", "out", "meas_error", "hidden1", "hidden2",
+                       *(f"error_{kind.value}" for kind in GateKind)}
+        routed = {"episodes": 7, "fidelity_threshold": 0.9, "max_steps": 12, "step_penalty": 0.02,
+                  "gamma": 0.5, "batch_size": 32, "min_replay": 100, "replay_capacity": 500,
+                  "target_update_period": 3, "learning_rate": 0.002, "adam_beta1": 0.8, "adam_beta2": 0.99,
+                  "epsilon_start": 0.9, "epsilon_decay": 0.95, "epsilon_min": 0.05, "temperature_init": 0.1,
+                  "temperature_step": 0.02, "follow_prob": 0.9, "follow_decay": 0.9}
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert names == hand_mapped | routed.keys()
+        assert all(value != getattr(ExperimentConfig, name) for name, value in routed.items())
+        config = ExperimentConfig(**routed)
+        ppr = config.ppr_config()
+        owners = {EnvConfig: config.env_config(), DQNConfig: ppr.dqn, PPRConfig: ppr}
+        fields_of = {cls: {f.name for f in dataclasses.fields(cls)} for cls in owners}
+        assert all(not fields_of[a] & fields_of[b] for a, b in itertools.combinations(owners, 2))
+        assert {"epsilon_start", "epsilon_decay", "epsilon_min", "target_update_period"} <= fields_of[PPRConfig]
+        for name, value in routed.items():
+            (owner,) = [cls for cls in owners if name in fields_of[cls]]
+            assert getattr(owners[owner], name) == value, name
 
     def test_ppr_without_library_in_a_file_names_the_file(self, tmp_path):
         path = tmp_path / "ppr.txt"
@@ -620,15 +645,18 @@ class TestCli:
         assert capsys.readouterr().err == "error: mode must be from_scratch or ppr, got 'foo'\n"
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config_file"])
-    def test_empty_out_is_one_line_error(self, tmp_path, capsys, monkeypatch, from_file):
+    @pytest.mark.parametrize("argv, names_file", [
+        (["run", "--episodes", "2", "--out", ""], False),
+        (["run", "--config"], True),
+        (["curriculum", "--episodes", "2", "--out", ""], False),
+    ], ids=["flag", "config_file", "curriculum"])
+    def test_empty_out_is_one_line_error(self, tmp_path, capsys, monkeypatch, argv, names_file):
         """An empty out would put the run's files in the working directory."""
         monkeypatch.chdir(tmp_path)
         config = tmp_path / "config.txt"
         config.write_text("episodes = 2\nout = \n")
-        argv = ["run", "--config", str(config)] if from_file else ["run", "--episodes", "2", "--out", ""]
-        assert main(argv) == 1
-        prefix = f"{config}: " if from_file else ""
+        assert main([*argv, *([str(config)] if names_file else [])]) == 1
+        prefix = f"{config}: " if names_file else ""
         assert capsys.readouterr().err == f"error: {prefix}out must name the output directory, got ''\n"
         assert [p.name for p in tmp_path.iterdir()] == ["config.txt"]
 

@@ -4,6 +4,7 @@ drivers with a hand-built solver policy, and the full run loop."""
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -413,6 +414,16 @@ class TestPprRun:
         with pytest.raises(RuntimeError, match="no episode yet"):
             env.episode_record()
 
+    def test_slot_zero_acts_greedily_under_reuse_whatever_its_epsilon(self):
+        library = PolicyLibrary()
+        library.append(bell_solver_network(), "solver")
+        logs = [ppr_run(fast_env(), library, PPRConfig(episodes=30, dqn=DQNConfig(hidden_sizes=(8,)), **eps),
+                        np.random.default_rng(28)).log
+                for eps in ({}, dict(epsilon_start=0.0, epsilon_min=0.0),
+                            dict(epsilon_start=0.5, epsilon_decay=1.0, epsilon_min=0.5))]
+        assert any(row.policy_index == 0 for row in logs[0])
+        assert logs[1] == logs[0] and logs[2] == logs[0]
+
     def test_episode_numbers_are_one_based_and_complete(self):
         config = PPRConfig(episodes=25, dqn=DQNConfig(hidden_sizes=(8,)))
         result = ppr_run(fast_env(), PolicyLibrary(), config, np.random.default_rng(27))
@@ -438,9 +449,32 @@ class TestPprConfigValidation:
         (dict(temperature_step=float("inf")), "temperature_step"),
         (dict(temperature_init=float("nan")), "temperature_init"),
         (dict(temperature_init=float("-inf")), "temperature_init"),
+        (dict(target_update_period=0), "target_update_period"),
+        (dict(target_update_period=-3), "target_update_period"),
+        (dict(epsilon_start=1.5), "epsilon_start"),
+        (dict(epsilon_start=-0.1), "epsilon_start"),
+        (dict(epsilon_decay=2.0), "epsilon_decay"),
+        (dict(epsilon_decay=float("nan")), "epsilon_decay"),
+        (dict(epsilon_min=-0.01), "epsilon_min"),
+        (dict(epsilon_min=1.01), "epsilon_min"),
     ])
     def test_rejects_with_the_field_name(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
+            PPRConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(target_update_period=1),
+        dict(epsilon_start=0.0, epsilon_decay=1.0, epsilon_min=1.0),
+    ])
+    def test_accepts_the_closed_ends(self, kwargs):
+        PPRConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(epsilon_start=1.5), "epsilon_start out of [0, 1]: 1.5"),
+        (dict(target_update_period=0), "target_update_period must be positive, got 0"),
+    ], ids=["epsilon_start", "target_update_period"])
+    def test_messages(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PPRConfig(**kwargs)
 
     def test_zero_episodes_is_allowed(self):
