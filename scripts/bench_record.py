@@ -14,9 +14,10 @@ workload the two sides run
 one after the other; the side that runs first alternates from pair to pair,
 starting with the parent.  Every line a run prints is kept.  Each --trace
 seed runs the same command with --trace 1 once per side, and tier-1
-(pytest) runs once per checkout.  Everything runs one process at a time,
-and the record is rewritten after every run, so an interrupted recording
-keeps what it measured.
+(pytest) runs once per checkout, recording the seconds its acceptance
+fixture's setup took.  Everything runs one process at a time, and the
+record is rewritten after every run, so an interrupted recording keeps
+what it measured.
 """
 
 import argparse
@@ -25,6 +26,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -33,7 +35,10 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
-TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+         "--durations=5"]
+# pytest's --durations line for the acceptance suite's setup, which trains its module fixture.
+ACCEPTANCE_SETUP = re.compile(r"^([0-9.]+)s setup\s+\S*tests/test_acceptance\.py::")
 
 
 def seeds(spec: str) -> tuple[str, list[int]]:
@@ -50,6 +55,11 @@ def run(cwd: Path, argv: list[str], env=None) -> list[str]:
     if proc.returncode:
         raise SystemExit(f"{cwd}: {' '.join(argv)} exited {proc.returncode}\n{proc.stdout}{proc.stderr}")
     return proc.stdout.splitlines()
+
+
+def acceptance_setup_s(lines: list[str]) -> float | None:
+    """Seconds of the acceptance fixture's setup in tier-1's output, None if no --durations line names it."""
+    return next((float(m.group(1)) for line in lines if (m := ACCEPTANCE_SETUP.match(line))), None)
 
 
 def perfbench(cwd: Path, workload: str, seed: int, seconds: float, trace: int) -> list[str]:
@@ -174,7 +184,8 @@ def main() -> None:
     for side, d in dirs.items():
         start = time.monotonic()
         lines = run(d, TIER1, env={**os.environ, "PYTHONPATH": "src"})
-        record["tier1"][side] = {"summary": lines[-1], "wall_s": round(time.monotonic() - start, 2)}
+        record["tier1"][side] = {"summary": lines[-1], "wall_s": round(time.monotonic() - start, 2),
+                                 "acceptance_setup_s": acceptance_setup_s(lines)}
         save()
     for workload, workload_seeds in args.pairs:
         pairs = []

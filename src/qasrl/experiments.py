@@ -91,6 +91,7 @@ class ExperimentConfig:
     temperature_step: float = PPRConfig.temperature_step
     follow_prob: float = PPRConfig.follow_prob
     follow_decay: float = PPRConfig.follow_decay
+    _PATHS = ("library", "out")  # a config file names these relative to its own directory
 
     def __post_init__(self):
         if self.seed < 0:
@@ -115,9 +116,9 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
     def to_file(self, path) -> None:
-        """to_text, with ``library`` named relative to the file's directory."""
-        library = self.library and os.path.relpath(self.library, Path(path).parent)
-        write_file(path, dataclasses.replace(self, library=library).to_text().encode("utf-8"))
+        """to_text, with ``library`` and ``out`` named relative to the file's directory."""
+        paths = {name: os.path.relpath(value, Path(path).parent) for name in self._PATHS if (value := vars(self)[name])}
+        write_file(path, dataclasses.replace(self, **paths).to_text().encode("utf-8"))
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -145,14 +146,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        """from_text on a file's content, ``library`` taken relative to the file; errors name the file."""
+        """from_text on a file's content, ``library`` and ``out`` taken relative to the file; errors name the file."""
         try:
             config = cls.from_text(Path(path).read_text())
         except ValueError as exc:
             raise file_error(path, exc) from None
-        if config.library:
-            config.library = os.path.normpath(os.path.join(os.path.dirname(path), config.library))
-        return config
+        where = os.path.dirname(path)
+        return dataclasses.replace(config, **{name: os.path.normpath(os.path.join(where, value))
+                                              for name in cls._PATHS if (value := vars(config)[name])})
 
     def env_config(self) -> EnvConfig:
         """The numbered environment with this config's environment fields laid

@@ -2,10 +2,12 @@
 
 Each test prints a single PASS/FAIL line with its margins.  The
 training-heavy checks (2 through 4) share one module-scoped batch of
-runs: five seeded curricula across the six noise stages plus matched
-from-scratch baselines on stages 2 through 5.
+runs, trained through the entry points ``qasrl curriculum`` and
+``qasrl run`` use: five seeded curricula across the six noise stages
+plus matched from-scratch baselines on stages 2 through 5.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -13,14 +15,8 @@ import pytest
 
 from conftest import finite_difference_max_rel_err, random_density_matrix
 from qasrl.env import CircuitEnv
-from qasrl.experiments import ExperimentConfig, build_environment, run_single
-from qasrl.ppr import (
-    PolicyLibrary,
-    PPRConfig,
-    ReuseStats,
-    ppr_run,
-    softmax_select,
-)
+from qasrl.experiments import ExperimentConfig, build_environment, run_curriculum, run_single
+from qasrl.ppr import PPRConfig, ReuseStats, softmax_select
 from qasrl.quantum import (
     GateAction,
     GateKind,
@@ -59,36 +55,27 @@ def episode_to_threshold(scores: np.ndarray, threshold: float) -> int:
     return int(hits[0] + WINDOW) if len(hits) else len(scores) + 1
 
 
-def child_seed(seed: int, env_id: int) -> int:
-    return seed * 1000 + env_id
-
-
 @pytest.fixture(scope="module")
-def training_traces():
+def training_traces(tmp_path_factory):
     """Score traces for five curricula plus from-scratch baselines.
 
     curriculum[seed][env_id] and scratch[(seed, env_id)] are arrays of
-    per-episode scores; each stage env_id of a curriculum trains with
-    the library of stages 0 .. env_id-1.
+    per-episode scores.  Each curriculum is one run_curriculum, whose
+    stage env_id trains with the library of stages 0 .. env_id-1.  Each
+    baseline reruns its stage's config.txt from scratch, with the stage's
+    seed and no library.
     """
     curriculum: dict[int, dict[int, np.ndarray]] = {}
     scratch: dict[tuple[int, int], np.ndarray] = {}
     for seed in SEEDS:
-        library = PolicyLibrary()
-        curriculum[seed] = {}
-        for env_id in range(6):
-            seed_k = child_seed(seed, env_id)
-            env = CircuitEnv(build_environment(env_id))
-            config = PPRConfig(episodes=EPISODES, use_epsilon_greedy=(env_id == 0))
-            result = ppr_run(env, library, config, np.random.default_rng(seed_k))
-            library.append(result.policy, f"env-{env_id}")
-            curriculum[seed][env_id] = np.array([e.score for e in result.log])
+        out = tmp_path_factory.mktemp(f"seed{seed}")
+        stages = run_curriculum(seed, out / "curriculum", episodes=EPISODES)
+        curriculum[seed] = {env_id: log.scores() for env_id, log in stages}
         for env_id in (2, 3, 4, 5):
-            seed_k = child_seed(seed, env_id)
-            env = CircuitEnv(build_environment(env_id))
-            config = PPRConfig(episodes=EPISODES, use_epsilon_greedy=True)
-            result = ppr_run(env, PolicyLibrary(), config, np.random.default_rng(seed_k))
-            scratch[(seed, env_id)] = np.array([e.score for e in result.log])
+            stage = ExperimentConfig.from_file(out / "curriculum" / f"env{env_id}" / "config.txt")
+            log, _ = run_single(dataclasses.replace(stage, mode="from_scratch", library=None,
+                                                    out=str(out / f"scratch{env_id}")))
+            scratch[(seed, env_id)] = log.scores()
     return curriculum, scratch
 
 

@@ -1,6 +1,7 @@
 """scripts/bench_record.py: its seed specs, the pair rule that decides
-whether a claimed gain is met, the no-regression rule, and the BLAS
-kernel and the code of each side a record names."""
+whether a claimed gain is met, the no-regression rule, the acceptance
+fixture's setup time read from tier-1, and the BLAS kernel and the code
+of each side a record names."""
 
 import importlib.util
 import json
@@ -79,6 +80,25 @@ def test_a_shift_from_a_zero_median_is_infinite():
     assert row["median_shift"] == float("-inf") and not row["within_bound"]
     same = bench_record.summarize([{"parent": result_lines(0.0), "change": result_lines(0.0)}], metric("higher"), None)
     assert same["m"]["median_shift"] == 0.0 and same["m"]["within_bound"] and not same["m"]["unresolved"]
+
+
+TIER1_TAIL = """\
+============================= slowest 5 durations ==============================
+{setup}4.84s call     tests/test_golden.py::test_learner_bits_under_haswell
+3.94s call     perfbench/test_perfbench.py::test_tiny_run_prints_every_metric_of_benchmark_json[scratch-0]
+0.62s setup    tests/test_experiments.py::TestCli::test_run_command
+567 passed in 97.67s (0:01:37)
+"""
+
+
+@pytest.mark.parametrize("setup, seconds", [
+    ("45.43s setup    tests/test_acceptance.py::test_criterion_2_from_scratch_convergence\n", 45.43),
+    ("", None),
+], ids=["with_the_line", "without_it"])
+def test_tier1_records_the_acceptance_fixture_setup(setup, seconds):
+    lines = TIER1_TAIL.format(setup=setup).splitlines()
+    assert bench_record.acceptance_setup_s(lines) == seconds
+    assert "--durations=5" in bench_record.TIER1
 
 
 def test_machine_names_the_blas_kernel_in_use():

@@ -18,7 +18,7 @@ import qasrl.ppr
 from conftest import bell_solver_network, poison_agents
 from qasrl.cli import main
 from qasrl.dqn import DQNConfig
-from qasrl.env import EnvConfig
+from qasrl.env import CircuitEnv, EnvConfig
 from qasrl.experiments import (
     CSV_COLUMNS,
     ENVIRONMENT_NOISE,
@@ -35,7 +35,7 @@ from qasrl.experiments import (
     run_single,
 )
 from qasrl.network import write_file
-from qasrl.ppr import PolicyLibrary, PPRConfig, load_library, save_library
+from qasrl.ppr import PolicyLibrary, PPRConfig, load_library, ppr_run, save_library
 from qasrl.quantum import GateKind
 
 
@@ -98,13 +98,13 @@ class TestExperimentConfig:
             ExperimentConfig.from_text("not_a_field = 1\n")
 
     def test_file_round_trip(self, tmp_path):
-        config = ExperimentConfig(env_id=4, episodes=123)
+        config = ExperimentConfig(env_id=4, episodes=123, out=str(tmp_path / "run"))
         path = tmp_path / "config.txt"
         config.to_file(path)
         assert ExperimentConfig.from_file(path) == config
 
     def test_file_names_its_library_relative_to_itself(self, tmp_path, monkeypatch):
-        config = ExperimentConfig(env_id=1, mode="ppr", library=str(tmp_path / "lib"))
+        config = ExperimentConfig(env_id=1, mode="ppr", library=str(tmp_path / "lib"), out=str(tmp_path / "out"))
         config.to_file(tmp_path / "run" / "config.txt")
         assert "library = ../lib\n" in (tmp_path / "run" / "config.txt").read_text()
         assert ExperimentConfig.from_file(tmp_path / "run" / "config.txt") == config
@@ -113,6 +113,18 @@ class TestExperimentConfig:
         # A file that names its library by an absolute path still finds it.
         (tmp_path / "old.txt").write_text(config.to_text())
         assert ExperimentConfig.from_file(tmp_path / "old.txt") == config
+
+    def test_file_names_its_out_relative_to_itself(self, tmp_path, monkeypatch):
+        """By the same rule as its library: a run's own config.txt says out = ."""
+        config = ExperimentConfig(out=str(tmp_path / "run"))
+        config.to_file(tmp_path / "run" / "config.txt")
+        config.to_file(tmp_path / "other.txt")
+        assert "\nout = .\n" in (tmp_path / "run" / "config.txt").read_text()
+        assert "\nout = run\n" in (tmp_path / "other.txt").read_text()
+        assert ExperimentConfig.from_file(tmp_path / "run" / "config.txt") == config
+        monkeypatch.chdir(tmp_path / "run")
+        assert ExperimentConfig.from_file("config.txt").out == "."
+        assert ExperimentConfig.from_file("../other.txt").out == os.path.join("..", "run")
 
     def test_error_override_beats_stage_table(self):
         config = ExperimentConfig(env_id=1, error_x=0.2)
@@ -300,6 +312,13 @@ class TestRunSingle:
         run_single(config)
         reloaded = ExperimentConfig.from_file(tmp_path / "run" / "config.txt")
         assert reloaded == config
+
+    def test_a_from_scratch_run_is_one_ppr_run(self, tmp_path):
+        log, _ = run_single(ExperimentConfig(env_id=3, seed=7, episodes=30, out=str(tmp_path / "run")))
+        chain = ppr_run(CircuitEnv(build_environment(3)), PolicyLibrary(),
+                        PPRConfig(episodes=30, use_epsilon_greedy=True), np.random.default_rng(7))
+        assert log.scores().tobytes() == RunLog(chain.log).scores().tobytes()
+        assert log.rows == chain.log
 
 
 class TestEmitPlot:
@@ -563,6 +582,33 @@ class TestCurriculum:
             assert main(["run", "--config", f"../b/cur/env{k}/config.txt", "--out", f"rerun{k}"]) == 0
             assert (tmp_path / "c" / f"rerun{k}" / "runlog.csv").read_bytes() == (
                 tmp_path / "b" / "cur" / f"env{k}" / "runlog.csv").read_bytes()
+
+    def test_a_stage_config_reruns_into_its_own_directory(self, tmp_path, monkeypatch):
+        """Without --out, a stage's config.txt, read from another working
+        directory, reruns the stage over its own files with the same bytes."""
+        monkeypatch.chdir(tmp_path)
+        run_curriculum(seed=0, output_dir="cur", episodes=12)
+        before = tree_bytes(tmp_path / "cur" / "env2")
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert main(["run", "--config", "../cur/env2/config.txt"]) == 0
+        assert list((tmp_path / "elsewhere").iterdir()) == []
+        after = tree_bytes(tmp_path / "cur" / "env2")
+        assert {name: after[name] for name in before} == before
+        assert set(after) - set(before) == {"scores.png", "scores.rolling.csv"}
+
+    def test_stages_are_the_papers_chain(self, tmp_path):
+        """Stage k is the chain built by hand: environment k, epsilon-greedy on
+        stage 0 only, rng seed * 1000 + k and the library of stages 0..k-1."""
+        seed, episodes, library = 3, 30, PolicyLibrary()
+        stages = run_curriculum(seed=seed, output_dir=tmp_path / "cur", episodes=episodes)
+        assert [env_id for env_id, _ in stages] == list(range(6))
+        for k, log in stages:
+            config = PPRConfig(episodes=episodes, use_epsilon_greedy=(k == 0))
+            chain = ppr_run(CircuitEnv(build_environment(k)), library, config, np.random.default_rng(seed * 1000 + k))
+            library.append(chain.policy, f"env-{k}")
+            assert log.scores().tobytes() == RunLog(chain.log).scores().tobytes()
+            assert log.rows == chain.log
 
     def test_a_deleted_library_is_rewritten_without_training(self, tmp_path, monkeypatch):
         """library/ is written from the stages' own files, so deleting it retrains nothing."""

@@ -6,10 +6,11 @@ alters the numerics on purpose records the new checksums here and says
 why in CHANGES.md.
 
 The pins hold on numpy's bundled OpenBLAS (0.3.31) under its SkylakeX,
-Haswell and Zen kernels, but not under a kernel without fused
-multiply-add, such as Sandybridge or Prescott (``OPENBLAS_CORETYPE``):
-there ``test_from_scratch_run`` gets other bytes.
-``scripts/bench_record.py`` records the kernel a benchmark ran on.
+Haswell and Zen kernels.  The kernels without fused multiply-add,
+Sandybridge and Prescott (``OPENBLAS_CORETYPE``), round their products
+otherwise, so ``test_from_scratch_run`` has a second pin for them, chosen
+when ``bench_record.blas_core()`` names one of them; every other kernel,
+one it cannot name included, is held to the first.
 ``test_from_scratch_run_without_fma`` reruns that config under the
 Sandybridge kernel and checks what holds on any kernel: the episode
 count, finite scores, and a saved policy that solves env 3.
@@ -38,6 +39,9 @@ from qasrl.ppr import PolicyLibrary, save_library, softmax_select
 
 DEFAULT_CONFIG_TXT = "96e2e124b2bcbc54033fbd7958bf2dad6908f9024687ee108d86730e75209f7a"
 SCRATCH_ENV3_SEED0 = "3939ac37b5f0333e4dd54399d16b8c88da061600939b32d284b7f73f7da0b643"
+SCRATCH_ENV3_SEED0_WITHOUT_FMA = "303e25b3b311f89af1ab16c880c8b0f2eb40f82129250d5fdad26e8fe0853e38"
+# The kernels without fused multiply-add, as blas_core() names them; it calls Prescott Katmai.
+PRE_FMA_KERNELS = ("Sandybridge", "Katmai")
 PPR_ENV1_SEED0 = "cd046cf878cda98b2526fae66238d8ce0e520925df9c6dbbe41f0ef2a0c2fecc"
 
 
@@ -48,7 +52,8 @@ def runlog_sha256(config: ExperimentConfig) -> str:
 
 def test_from_scratch_run(tmp_path):
     config = ExperimentConfig(env_id=3, seed=0, episodes=200, out=str(tmp_path / "run"))
-    assert runlog_sha256(config) == SCRATCH_ENV3_SEED0
+    pin = SCRATCH_ENV3_SEED0_WITHOUT_FMA if bench_record.blas_core() in PRE_FMA_KERNELS else SCRATCH_ENV3_SEED0
+    assert runlog_sha256(config) == pin
 
 
 def blas_kernel_environment(kernel: str) -> dict:
@@ -59,14 +64,19 @@ def blas_kernel_environment(kernel: str) -> dict:
 
 def test_from_scratch_run_without_fma(tmp_path):
     """test_from_scratch_run's config in a process on OpenBLAS's Sandybridge
-    kernel, which has no fused multiply-add, with one BLAS thread.  Its bytes
-    may differ from the pin; its run must still be whole and its policy must
-    still solve env 3 greedily."""
+    kernel, which has no fused multiply-add, with one BLAS thread.  Its run
+    must be whole and its policy must still solve env 3 greedily; where the
+    process reports that kernel (off x86 OpenBLAS ignores the setting), its
+    bytes must also be the pre-FMA pin."""
     out = tmp_path / "run"
     env = blas_kernel_environment("Sandybridge")
-    script = ("import sys; from qasrl.experiments import ExperimentConfig, run_single; "
-              "run_single(ExperimentConfig(env_id=3, seed=0, episodes=200, out=sys.argv[1]))")
-    subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
+    script = ("import runpy, sys; from qasrl.experiments import ExperimentConfig, run_single; "
+              "run_single(ExperimentConfig(env_id=3, seed=0, episodes=200, out=sys.argv[1])); "
+              "print(runpy.run_path(sys.argv[2])['blas_core']())")
+    kernel = subprocess.run([sys.executable, "-c", script, str(out), bench_record.__file__], env=env, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    if kernel == "Sandybridge":
+        assert hashlib.sha256((out / "runlog.csv").read_bytes()).hexdigest() == SCRATCH_ENV3_SEED0_WITHOUT_FMA
     scores = RunLog.from_csv(out / "runlog.csv").scores()
     assert len(scores) == 200 and np.isfinite(scores).all()
     policy, circuit = load_policy(out / "policy.qnet"), CircuitEnv(ExperimentConfig(env_id=3).env_config())
@@ -103,8 +113,10 @@ def test_ppr_stage_with_one_policy_library(tmp_path):
     assert runlog_sha256(config) == PPR_ENV1_SEED0
 
 
-def test_default_config_file(tmp_path):
-    ExperimentConfig().to_file(tmp_path / "config.txt")
+def test_default_config_file(tmp_path, monkeypatch):
+    """Written in the working directory, so its cwd-relative out keeps its text."""
+    monkeypatch.chdir(tmp_path)
+    ExperimentConfig().to_file("config.txt")
     assert hashlib.sha256((tmp_path / "config.txt").read_bytes()).hexdigest() == DEFAULT_CONFIG_TXT
 
 
