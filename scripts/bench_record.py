@@ -127,7 +127,9 @@ def machine() -> dict:
                 if line.startswith("model name")), platform.processor())
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": f"{blas.get('name')} {blas.get('version')}", "blas_core": blas_core(), "cpu": cpu,
-            "cores": os.cpu_count(), "os": platform.system()}
+            "cores": os.cpu_count(), "os": platform.system(),
+            # Without cached bytecode each perfbench worker compiles qasrl: its setup_s and peak_rss_mb rise.
+            "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}
 
 
 def checkout(d: Path) -> dict:
@@ -143,6 +145,20 @@ def checkout(d: Path) -> dict:
     return {"commit": head.strip(), "uncommitted_changes": bool(status)}
 
 
+def claim_error(claim: str, bench: dict, pairs: list[tuple[str, list[int]]]) -> str | None:
+    """Why the summaries could not judge ``workload:metric``, or None when they can: the workload
+    must be one of BENCHMARK.json's and have --pairs, and the metric one of its end-to-end metrics."""
+    workload, _, metric = claim.partition(":")
+    if workload not in {w["name"] for w in bench["workloads"]}:
+        return f"--claim {claim}: {workload!r} is not a workload of BENCHMARK.json"
+    if workload not in {name for name, _ in pairs}:
+        return f"--claim {claim}: workload {workload!r} has no --pairs"
+    names = [m["name"] for m in bench["end_to_end"]]
+    if metric not in names:
+        return f"--claim {claim}: {metric!r} is not an end-to-end metric ({', '.join(names)})"
+    return None
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -155,6 +171,8 @@ def main() -> None:
     args = parser.parse_args()
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
+    if args.claim and (error := claim_error(args.claim, bench, args.pairs)):
+        parser.error(error)
     claim_workload, _, claim_metric = (args.claim or "").partition(":")
     record = {
         "change": args.note,

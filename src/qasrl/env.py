@@ -75,7 +75,7 @@ class StepResult(NamedTuple):
     fidelity: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpisodeRecord:
     """What an episode did: its gate sequence and its final quality.
 

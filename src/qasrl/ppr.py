@@ -177,7 +177,7 @@ def pi_exploration_episode(env: CircuitEnv, agent: DQNAgent, past_policy: QNetwo
     return _play_episode(env, agent, choose)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRow:
     """One episode of a run: its result, the slot that drove it and the
     softmax temperature it was selected at."""
@@ -262,9 +262,11 @@ def load_library(directory) -> PolicyLibrary:
         if manifest.get("format_version") != LIBRARY_FORMAT_VERSION:
             raise ValueError(f"unsupported library format {manifest.get('format_version')!r}")
         entries = [(entry["file"], entry["tag"]) for entry in manifest["policies"]]
-        for filename, _ in entries:
+        for filename, tag in entries:
             if filename in ("", ".", "..") or Path(filename).name != filename:
                 raise ValueError(f"policy file {filename!r} is not a file name inside {directory}")
+            if not isinstance(tag, str):
+                raise ValueError(f"policy tag {tag!r} is not a string")
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise file_error(manifest_path, exc) from None
     library = PolicyLibrary()

@@ -1,7 +1,7 @@
 """scripts/bench_record.py: its seed specs, the pair rule that decides
 whether a claimed gain is met, the no-regression rule, the acceptance
-fixture's setup time read from tier-1, and the BLAS kernel and the code
-of each side a record names."""
+fixture's setup time read from tier-1, the claims it refuses, and the
+BLAS kernel, bytecode setting and code of each side a record names."""
 
 import importlib.util
 import json
@@ -113,6 +113,21 @@ def test_machine_names_the_blas_kernel_in_use():
     assert forced.stdout == "Nehalem\n"
 
 
+@pytest.mark.parametrize("setting, expected", [(None, False), ("1", True)], ids=["cached", "not_cached"])
+def test_machine_records_whether_bytecode_is_written(setting, expected):
+    """PYTHONDONTWRITEBYTECODE reaches every perfbench worker the recording process starts."""
+    assert bench_record.machine()["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    if setting:
+        env["PYTHONDONTWRITEBYTECODE"] = setting
+    load = ("import importlib.util, sys; spec = importlib.util.spec_from_file_location('b', sys.argv[1]); "
+            "module = importlib.util.module_from_spec(spec); spec.loader.exec_module(module); "
+            "print(module.machine()['dont_write_bytecode'])")
+    out = subprocess.run([sys.executable, "-c", load, str(SCRIPT)], capture_output=True, text=True, check=True,
+                         env=env)
+    assert out.stdout == f"{expected}\n"
+
+
 def test_blas_kernel_is_unknown_where_the_library_does_not_name_it(monkeypatch):
     monkeypatch.setattr(bench_record.ctypes, "CDLL", lambda path: object())
     assert bench_record.blas_core() == "unknown"
@@ -137,3 +152,32 @@ def test_a_record_names_each_sides_commit_and_whether_its_tree_changed(tmp_path)
     plain = tmp_path / "plain"
     plain.mkdir()
     assert bench_record.checkout(plain) == {"commit": "unknown", "uncommitted_changes": "unknown"}
+
+
+BENCHMARK = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text())
+
+
+@pytest.mark.parametrize("claim, reason", [
+    ("curriculum:peak_rss", "'peak_rss' is not an end-to-end metric"),
+    ("curriculum:quantum.apply_gate.calls", "'quantum.apply_gate.calls' is not an end-to-end metric"),
+    ("curriculum", "'' is not an end-to-end metric"),
+    ("curricula:peak_rss_mb", "'curricula' is not a workload of BENCHMARK.json"),
+    ("rollout:peak_rss_mb", "workload 'rollout' has no --pairs"),
+], ids=["metric_typo", "per_layer_metric", "no_metric", "workload_typo", "workload_without_pairs"])
+def test_a_claim_the_record_cannot_judge_is_one_argparse_error(tmp_path, monkeypatch, capsys, claim, reason):
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--parent", str(tmp_path), "--change", str(SCRIPT.parents[1]),
+                                      "--out", str(out), "--note", "n", "--claim", claim,
+                                      "--pairs", "scratch=1-2", "curriculum=3-4"])
+    with pytest.raises(SystemExit) as exit_info:
+        bench_record.main()
+    assert exit_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"bench_record.py: error: --claim {claim}: {reason}" + (
+        f" ({', '.join(m['name'] for m in BENCHMARK['end_to_end'])})" if "end-to-end" in reason else "")]
+    assert not out.exists()
+
+
+def test_a_claim_on_a_paired_end_to_end_metric_is_accepted():
+    pairs = [bench_record.seeds("curriculum=1-10")]
+    assert bench_record.claim_error("curriculum:peak_rss_mb", BENCHMARK, pairs) is None

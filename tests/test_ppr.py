@@ -2,8 +2,10 @@
 drivers with a hand-built solver policy, and the full run loop."""
 
 import copy
+import dataclasses
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -11,13 +13,14 @@ import pytest
 
 from conftest import bell_solver_network, constant_output_network, poison_agents
 from qasrl.dqn import DQNAgent, DQNConfig, update_target
-from qasrl.env import CircuitEnv, EnvConfig
+from qasrl.env import CircuitEnv, EnvConfig, EpisodeRecord, enumerate_actions
 from qasrl.experiments import build_environment
 from qasrl.network import QNetwork, save_policy
 from qasrl.ppr import (
     PolicyLibrary,
     PPRConfig,
     ReuseStats,
+    RunRow,
     load_library,
     pi_exploration_episode,
     ppr_run,
@@ -203,7 +206,9 @@ class TestPolicyLibrary:
         '{"format_version": 1}',
         '{"format_version": 1, "policies": [7]}',
         '{"format_version": 1, "policies": [',
-    ], ids=["no_file", "no_tag", "no_policies", "entry_not_an_object", "bad_json"])
+        '{"format_version": 1, "policies": [{"file": "policy_000.qnet", "tag": 5}]}',
+        '{"format_version": 1, "policies": [{"file": "policy_000.qnet", "tag": ["x"]}]}',
+    ], ids=["no_file", "no_tag", "no_policies", "entry_not_an_object", "bad_json", "tag_a_number", "tag_a_list"])
     def test_malformed_manifest_is_a_value_error_naming_it(self, tmp_path, manifest):
         library = PolicyLibrary()
         library.append(QNetwork([6, 8, 12]), "env-0")
@@ -348,6 +353,24 @@ class TestPiExplorationEpisode:
 def fast_env(threshold: float = 0.45) -> CircuitEnv:
     """Environment whose episodes finish on the first step."""
     return CircuitEnv(EnvConfig(fidelity_threshold=threshold))
+
+
+@pytest.mark.parametrize("record", [
+    RunRow(episode=1, score=0.98, steps=2, fidelity=0.99, policy_index=1, temperature=0.01),
+    EpisodeRecord(actions=enumerate_actions(2)[:2], final_fidelity=0.99, steps=2, score=0.97),
+], ids=["RunRow", "EpisodeRecord"])
+def test_per_episode_records_hold_their_fields_in_slots(record):
+    """No instance dictionary; replace, equality, hashing and a pickle
+    round trip behave as for any frozen dataclass."""
+    assert not hasattr(record, "__dict__")
+    assert type(record).__slots__ == tuple(f.name for f in dataclasses.fields(record))
+    same = dataclasses.replace(record)
+    assert same is not record and same == record and hash(same) == hash(record)
+    changed = dataclasses.replace(record, steps=3)
+    assert changed.steps == 3 and changed != record
+    assert pickle.loads(pickle.dumps(record)) == record
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.steps = 3
 
 
 class TestPprRun:
