@@ -39,6 +39,8 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
          "--durations=5"]
 # pytest's --durations line for the acceptance suite's setup, which trains its module fixture.
 ACCEPTANCE_SETUP = re.compile(r"^([0-9.]+)s setup\s+\S*tests/test_acceptance\.py::")
+# The line of a perfbench run that gives the median speed of reference.py around its rounds.
+REFERENCE_SPEED = re.compile(r" at a median reference speed of ([0-9.eE+-]+)$")
 
 
 def seeds(spec: str) -> tuple[str, list[int]]:
@@ -60,6 +62,11 @@ def run(cwd: Path, argv: list[str], env=None) -> list[str]:
 def acceptance_setup_s(lines: list[str]) -> float | None:
     """Seconds of the acceptance fixture's setup in tier-1's output, None if no --durations line names it."""
     return next((float(m.group(1)) for line in lines if (m := ACCEPTANCE_SETUP.match(line))), None)
+
+
+def reference_speed(lines: list[str]) -> float | None:
+    """The median reference speed a perfbench run printed, None if no line gives it."""
+    return next((float(m.group(1)) for line in lines if (m := REFERENCE_SPEED.search(line))), None)
 
 
 def perfbench(cwd: Path, workload: str, seed: int, seconds: float, trace: int) -> list[str]:
@@ -87,8 +94,12 @@ def summarize(pairs: list[dict], end_to_end: list[dict], claim: str | None) -> d
     each side's quartiles, the pairs the change won or tied, the shift of the
     change's median from the parent's as a fraction of the parent's, whether
     that shift is within the metric's bound, and whether the parent's own
-    spread leaves it unresolved."""
-    out = {}
+    spread leaves it unresolved.  Under "reference_speed", each side's
+    quartiles of the median reference speed its runs printed (None where a
+    run printed none): how fast the machine ran while the side was timed."""
+    speeds = {side: [reference_speed(pair[side]) for pair in pairs] for side in SIDES}
+    out = {"reference_speed": {f"{side}_q1_median_q3": None if None in runs else quartiles(runs)
+                               for side, runs in speeds.items()}}
     for metric in end_to_end:
         name, bound = metric["name"], metric["bound"]
         p = np.array([values(pair["parent"])[name] for pair in pairs])

@@ -31,6 +31,7 @@ from .ppr import (
     PPRConfig,
     PPRRunResult,
     ReuseStats,
+    RunLog,
     load_library,
     pi_exploration_episode,
     ppr_run,
@@ -41,7 +42,6 @@ from .ppr import (
 from .experiments import (
     ENVIRONMENT_NOISE,
     ExperimentConfig,
-    RunLog,
     build_environment,
     emit_plot,
     run_curriculum,

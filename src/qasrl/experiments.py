@@ -1,4 +1,4 @@
-"""Experiment drivers: canned noisy environments, run logs, curriculum.
+"""Experiment drivers: canned noisy environments, config files, runs, curriculum, plots.
 
 The six numbered environments share the two-qubit Bell target and only
 differ in which gates carry depolarizing error.  A curriculum trains
@@ -20,7 +20,7 @@ import numpy as np
 from .dqn import DQNConfig
 from .env import CircuitEnv, EnvConfig
 from .network import QNetwork, file_error, load_policy, save_policy, write_file
-from .ppr import PolicyLibrary, PPRConfig, RunRow, ppr_run, load_library, save_library
+from .ppr import CSV_COLUMNS, PolicyLibrary, PPRConfig, RunLog, ppr_run, load_library, save_library
 from .quantum import GateKind, NoiseSpec
 
 # Gate error rates per environment id; readout error is 0.01 everywhere.
@@ -182,75 +182,6 @@ def _parse_value(raw: str, ftype):
     return ftype(raw)
 
 
-CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(RunRow))
-_INT_COLUMNS = {f.name for f in dataclasses.fields(RunRow) if f.type is int}
-
-
-class RunLog:
-    """Per-episode results of one run, CSV round-trippable.
-
-    Every column is deterministic (floats at 12 significant digits), so
-    identical seed and config give identical bytes.
-    """
-
-    def __init__(self, rows):
-        self.rows: list[RunRow] = list(rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def scores(self) -> np.ndarray:
-        return np.array([r.score for r in self.rows])
-
-    def to_csv(self, path) -> None:
-        lines = [",".join(CSV_COLUMNS)]
-        for row in self.rows:
-            cells = []
-            for col in CSV_COLUMNS:
-                value = getattr(row, col)
-                cells.append(str(value) if col in _INT_COLUMNS else format(value, ".12g"))
-            lines.append(",".join(cells))
-        write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
-
-    @classmethod
-    def from_csv(cls, path) -> "RunLog":
-        lines = Path(path).read_text().splitlines()
-        if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
-            raise ValueError(f"{path} is not a run log (bad header)")
-        rows = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            cells = line.split(",")
-            if len(cells) != len(CSV_COLUMNS):
-                raise ValueError(f"{path} line {lineno}: {len(cells)} cells, expected {len(CSV_COLUMNS)}")
-            try:
-                rows.append(RunRow(*(int(cell) if col in _INT_COLUMNS else float(cell)
-                                     for col, cell in zip(CSV_COLUMNS, cells))))
-            except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
-        return cls(rows)
-
-    def rolling_mean(self, window: int = 50) -> np.ndarray:
-        """Trailing mean per episode; early episodes average what exists.
-
-        Prefix sums of scores near the float limit would overflow, so
-        scores beyond 2**1000 are scaled down by an exact power of two
-        first (leaving 2**24 episodes of headroom); smaller scores, those
-        of every real run, are summed as they are.
-        """
-        if window < 1:
-            raise ValueError(f"window must be at least 1, got {window}")
-        scores = self.scores()
-        _, exponent = np.frexp(np.abs(scores).max(initial=0.0))
-        shift = max(int(exponent) - 1000, 0)
-        sums = np.cumsum(np.concatenate(([0.0], np.ldexp(scores, -shift))))
-        idx = np.arange(len(scores))
-        lo = np.maximum(idx - window + 1, 0)
-        return np.ldexp((sums[idx + 1] - sums[lo]) / (idx + 1 - lo), shift)
-
-
 def run_single(config: ExperimentConfig, library: PolicyLibrary | None = None) -> tuple[RunLog, QNetwork]:
     """Execute one run, write runlog.csv, policy.qnet and config.txt under config.out and
     return (log, policy); a ppr run reuses ``library``, by default the one at config.library,
@@ -262,11 +193,10 @@ def run_single(config: ExperimentConfig, library: PolicyLibrary | None = None) -
     env = CircuitEnv(config.env_config())
     result = ppr_run(env, library, config.ppr_config(), np.random.default_rng(config.seed))
     out = Path(config.out)
-    log = RunLog(result.log)
-    log.to_csv(out / "runlog.csv")
+    result.log.to_csv(out / "runlog.csv")
     save_policy(result.policy, out / "policy.qnet")
     config.to_file(out / "config.txt")
-    return log, result.policy
+    return result.log, result.policy
 
 
 def run_curriculum(seed: int, output_dir, episodes: int = ExperimentConfig.episodes) -> list[tuple[int, RunLog]]:

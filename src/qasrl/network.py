@@ -49,6 +49,21 @@ class QNetwork:
             cursor += fan_out
         return weights, biases
 
+    def freeze(self) -> "QNetwork":
+        """Make ``params`` and the layer views over it read-only; returns the network."""
+        for array in (self.params, *self.weights, *self.biases):
+            array.setflags(write=False)
+        return self
+
+    def __getstate__(self):  # a pickle or deep copy rebuilds the views, so they stay tied to params
+        return self.layer_sizes, self.params, not self.params.flags.writeable
+
+    def __setstate__(self, state) -> None:
+        self.layer_sizes, self.params, frozen = state
+        self.weights, self.biases = self.layer_views(self.params)
+        if frozen:
+            self.freeze()
+
     @property
     def output_dim(self) -> int:
         return self.layer_sizes[-1]

@@ -10,7 +10,7 @@ episode, handing control back to the new network.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -105,11 +105,7 @@ class PolicyLibrary:
 
     def append(self, net: QNetwork, tag: str) -> None:
         """Store a frozen deep copy as the next slot."""
-        frozen = clone_parameters(net)
-        # Views made before the vector froze stay writable unless frozen too.
-        for array in (frozen.params, *frozen.weights, *frozen.biases):
-            array.setflags(write=False)
-        self._policies.append(frozen)
+        self._policies.append(clone_parameters(net).freeze())
         self.tags.append(tag)
 
 
@@ -190,10 +186,76 @@ class RunRow:
     temperature: float
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(RunRow))
+_INT_COLUMNS = {f.name for f in fields(RunRow) if f.type is int}
+
+
+class RunLog(list):
+    """Per-episode results of one run, a list of ``RunRow``s, CSV round-trippable.
+
+    Every column is deterministic (floats at 12 significant digits), so
+    identical seed and config give identical bytes.
+    """
+
+    __slots__ = ()
+
+    @property
+    def rows(self) -> "RunLog":
+        return self  # the log is its list of rows
+
+    def scores(self) -> np.ndarray:
+        return np.array([r.score for r in self.rows])
+
+    def to_csv(self, path) -> None:
+        lines = [",".join(CSV_COLUMNS)]
+        for row in self.rows:
+            cells = []
+            for col in CSV_COLUMNS:
+                value = getattr(row, col)
+                cells.append(str(value) if col in _INT_COLUMNS else format(value, ".12g"))
+            lines.append(",".join(cells))
+        write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
+
+    @classmethod
+    def from_csv(cls, path) -> "RunLog":
+        lines = Path(path).read_text().splitlines()
+        if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
+            raise ValueError(f"{path} is not a run log (bad header)")
+        rows = []
+        for lineno, line in enumerate(lines[1:], start=2):
+            cells = line.split(",")
+            if len(cells) != len(CSV_COLUMNS):
+                raise ValueError(f"{path} line {lineno}: {len(cells)} cells, expected {len(CSV_COLUMNS)}")
+            try:
+                rows.append(RunRow(*(int(cell) if col in _INT_COLUMNS else float(cell)
+                                     for col, cell in zip(CSV_COLUMNS, cells))))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
+        return cls(rows)
+
+    def rolling_mean(self, window: int = 50) -> np.ndarray:
+        """Trailing mean per episode; early episodes average what exists.
+
+        Prefix sums of scores near the float limit would overflow, so
+        scores beyond 2**1000 are scaled down by an exact power of two
+        first (leaving 2**24 episodes of headroom); smaller scores, those
+        of every real run, are summed as they are.
+        """
+        if window < 1:
+            raise ValueError(f"window must be at least 1, got {window}")
+        scores = self.scores()
+        _, exponent = np.frexp(np.abs(scores).max(initial=0.0))
+        shift = max(int(exponent) - 1000, 0)
+        sums = np.cumsum(np.concatenate(([0.0], np.ldexp(scores, -shift))))
+        idx = np.arange(len(scores))
+        lo = np.maximum(idx - window + 1, 0)
+        return np.ldexp((sums[idx + 1] - sums[lo]) / (idx + 1 - lo), shift)
+
+
 @dataclass
 class PPRRunResult:
     policy: QNetwork
-    log: list[RunRow]
+    log: RunLog
     stats: ReuseStats
 
 
@@ -204,7 +266,7 @@ def ppr_run(env: CircuitEnv, library: PolicyLibrary, config: PPRConfig,
 
     With an empty library every episode is plain q-learning; pass
     ``use_epsilon_greedy=True`` for the from-scratch baseline.  The
-    returned log has one row per episode, and the reuse stats are this
+    returned ``RunLog`` has one row per episode, and the reuse stats are this
     run's own, one slot per library policy plus slot 0.  A library policy
     whose input or output width differs from the environment's raises
     ValueError before the first episode; a TD loss that is not finite
@@ -219,7 +281,7 @@ def ppr_run(env: CircuitEnv, library: PolicyLibrary, config: PPRConfig,
     agent = DQNAgent(env.observation_dim, env.n_actions, config.dqn, agent_rng)
     stats = ReuseStats.fresh(len(library) + 1)
     epsilon = config.epsilon_start if config.use_epsilon_greedy else 0.0
-    log: list[RunRow] = []
+    log = RunLog()
     for episode in range(1, config.episodes + 1):
         temperature = config.temperature(episode - 1)
         _, slot = softmax_select(stats.mean_scores, temperature, behavior_rng)

@@ -240,7 +240,8 @@ def pauli_expectations(state: np.ndarray, noise: NoiseSpec | None = None) -> np.
     a float vector of length 3 * n_qubits, each entry in [-1, 1].  Like
     ``apply_gate``, it takes only a state the simulator made, unchecked."""
     scale = 1.0 - 2.0 * (noise.meas_error if noise is not None else 0.0)
-    return (scale * state[_local_indices(len(state).bit_length() >> 1)]).clip(-1.0, 1.0)
+    out = state[_local_indices(len(state).bit_length() >> 1)]  # a new array, scaled and clamped in place
+    return np.minimum(np.maximum(np.multiply(out, scale, out=out), -1.0, out=out), 1.0, out=out)  # clip's bits
 
 
 def fidelity(state: np.ndarray, target: TargetState) -> float:

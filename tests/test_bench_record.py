@@ -1,7 +1,8 @@
 """scripts/bench_record.py: its seed specs, the pair rule that decides
 whether a claimed gain is met, the no-regression rule, the acceptance
-fixture's setup time read from tier-1, the claims it refuses, and the
-BLAS kernel, bytecode setting and code of each side a record names."""
+fixture's setup time read from tier-1, the machine's reference speed, the
+claims it refuses, and the BLAS kernel, bytecode setting and code of each
+side a record names."""
 
 import importlib.util
 import json
@@ -81,6 +82,21 @@ def test_a_shift_from_a_zero_median_is_infinite():
     same = bench_record.summarize([{"parent": result_lines(0.0), "change": result_lines(0.0)}], metric("higher"), None)
     assert same["m"]["median_shift"] == 0.0 and same["m"]["within_bound"] and not same["m"]["unresolved"]
 
+
+
+def test_summary_gives_each_sides_quartiles_of_the_reference_speed():
+    """perfbench prints its reference loop's median speed at 4 digits; the record keeps each side's swing."""
+    def timed(value: float, speed: float) -> list[str]:
+        return [f"scratch: measured wall time 1.59821 s at a median reference speed of {speed:.4g}",
+                *result_lines(value)]
+
+    speeds = [0.70, 0.8654, 0.9, 1.0, 1.23]
+    pairs = [{"parent": timed(100.0, speed), "change": timed(101.0, 2 * speed)} for speed in speeds]
+    row = bench_record.summarize(pairs, metric("higher"), None)["reference_speed"]
+    assert row == {"parent_q1_median_q3": [0.8654, 0.9, 1.0], "change_q1_median_q3": [1.731, 1.8, 2.0]}
+    pairs[2]["change"] = result_lines(101.0)
+    row = bench_record.summarize(pairs, metric("higher"), None)["reference_speed"]
+    assert row == {"parent_q1_median_q3": [0.8654, 0.9, 1.0], "change_q1_median_q3": None}
 
 TIER1_TAIL = """\
 ============================= slowest 5 durations ==============================

@@ -28,14 +28,13 @@ from qasrl.experiments import (
     SCORE_RGB,
     ExperimentConfig,
     RunLog,
-    RunRow,
     build_environment,
     emit_plot,
     run_curriculum,
     run_single,
 )
 from qasrl.network import write_file
-from qasrl.ppr import PolicyLibrary, PPRConfig, load_library, ppr_run, save_library
+from qasrl.ppr import PolicyLibrary, PPRConfig, RunRow, load_library, ppr_run, save_library
 from qasrl.quantum import GateKind
 
 
@@ -319,6 +318,20 @@ class TestRunSingle:
                         PPRConfig(episodes=30, use_epsilon_greedy=True), np.random.default_rng(7))
         assert log.scores().tobytes() == RunLog(chain.log).scores().tobytes()
         assert log.rows == chain.log
+
+
+    def test_run_single_returns_and_writes_the_log_ppr_run_filled(self, tmp_path, monkeypatch):
+        results = []
+
+        def recording_ppr_run(*args):
+            results.append(qasrl.ppr.ppr_run(*args))
+            return results[-1]
+
+        monkeypatch.setattr(qasrl.experiments, "ppr_run", recording_ppr_run)
+        log, policy = run_single(tiny_config(tmp_path))
+        assert log is results[0].log and policy is results[0].policy and type(log) is RunLog
+        results[0].log.to_csv(tmp_path / "again.csv")
+        assert (tmp_path / "run" / "runlog.csv").read_bytes() == (tmp_path / "again.csv").read_bytes()
 
 
 class TestEmitPlot:

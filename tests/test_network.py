@@ -1,6 +1,9 @@
 """Network tests: forward against matrix arithmetic, backprop against
 finite differences, Adam against a scripted reference."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -374,6 +377,24 @@ class TestFlatParameters:
         net.params += 1.0
         copy.biases[0][:] = 7.0
         assert np.all(net.biases[0] != 7.0)
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda net: pickle.loads(pickle.dumps(net)),
+        lambda net: pickle.loads(pickle.dumps(net, protocol=5)),
+        copy.deepcopy,
+    ], ids=["pickle", "pickle_protocol_5", "deepcopy"])
+    def test_a_copy_keeps_its_views_on_its_own_params(self, round_trip):
+        net = QNetwork([6, 16, 12], rng=np.random.default_rng(22))
+        net.biases[1][:] = 0.25
+        back = round_trip(net)
+        assert back.layer_sizes == net.layer_sizes and back.params.tobytes() == net.params.tobytes()
+        assert back.params.flags.writeable and not np.shares_memory(back.params, net.params)
+        for view in back.weights + back.biases:
+            assert np.shares_memory(view, back.params)
+        x = np.linspace(-1.0, 1.0, 6)
+        assert back.forward(x).tobytes() == net.forward(x).tobytes()
+        back.params[:] = 0.0
+        assert not back.forward(x).any() and net.forward(x).any()
 
     def test_snapshot_bytes_are_the_per_layer_concatenation(self, tmp_path):
         net = QNetwork([6, 16, 12], rng=np.random.default_rng(20))

@@ -20,6 +20,7 @@ from qasrl.ppr import (
     PolicyLibrary,
     PPRConfig,
     ReuseStats,
+    RunLog,
     RunRow,
     load_library,
     pi_exploration_episode,
@@ -147,6 +148,19 @@ class TestPolicyLibrary:
         assert stored.weights[0][0, 0] != net.weights[0][0, 0]
         with pytest.raises(ValueError):
             stored.weights[0][0, 0] = 3.0
+
+    @pytest.mark.parametrize("round_trip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_a_copied_library_keeps_its_policies_frozen(self, round_trip):
+        library = PolicyLibrary()
+        library.append(QNetwork([6, 8, 12], rng=np.random.default_rng(9)), "env-0")
+        back = round_trip(library)
+        stored = back.policy(1)
+        assert back.tags == ["env-0"] and stored.params.tobytes() == library.policy(1).params.tobytes()
+        for view in (stored.params, *stored.weights, *stored.biases):
+            assert np.shares_memory(view, stored.params)
+            with pytest.raises(ValueError):
+                view[0] = 3.0
 
     def test_stored_policy_rejects_writes_through_every_view(self):
         net = QNetwork([6, 8, 8, 12], rng=np.random.default_rng(7))
@@ -446,6 +460,20 @@ class TestPprRun:
                             dict(epsilon_start=0.5, epsilon_decay=1.0, epsilon_min=0.5))]
         assert any(row.policy_index == 0 for row in logs[0])
         assert logs[1] == logs[0] and logs[2] == logs[0]
+
+    def test_the_log_is_a_run_log_that_pickles_with_the_result(self):
+        library = PolicyLibrary()
+        library.append(bell_solver_network(), "solver")
+        result = ppr_run(fast_env(), library, PPRConfig(episodes=20, dqn=DQNConfig(hidden_sizes=(8,))),
+                         np.random.default_rng(29))
+        assert type(result.log) is RunLog and len(result.log) == 20 and result.log.rows is result.log
+        back = pickle.loads(pickle.dumps(result))
+        assert type(back.log) is RunLog and back.log == result.log
+        assert back.policy.params.tobytes() == result.policy.params.tobytes()
+        assert np.shares_memory(back.policy.weights[0], back.policy.params)
+        assert back.stats.mean_scores.tobytes() == result.stats.mean_scores.tobytes()
+        assert back.stats.selection_counts.tolist() == result.stats.selection_counts.tolist()
+        assert pickle.loads(pickle.dumps(result.log)) == result.log
 
     def test_episode_numbers_are_one_based_and_complete(self):
         config = PPRConfig(episodes=25, dqn=DQNConfig(hidden_sizes=(8,)))
