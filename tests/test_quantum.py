@@ -251,6 +251,19 @@ class TestPauliExpectations:
             values = pauli_expectations(pauli_coordinates(random_density_matrix(rng, 2)), noise)
             assert np.all(values <= 1.0) and np.all(values >= -1.0)
 
+    @pytest.mark.parametrize("meas_error", [0.0, 0.01, 0.4])
+    def test_clamp_gives_the_bits_of_clip(self, meas_error):
+        """Scaled and clamped in place, each entry equals (scale * x).clip(-1, 1),
+        out-of-range values, signed zeros, infinities and NaN included."""
+        rng = np.random.default_rng(41)
+        special = np.array([1.5, -1.5, -0.0, 0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 1.0 + 2**-52])
+        noise = NoiseSpec(meas_error=meas_error)
+        for values in (special[:6], special[4:], rng.uniform(-1.2, 1.2, 6)):
+            state = np.zeros(16)
+            state[[4, 8, 12, 1, 2, 3]] = values  # X, Y, Z of qubit 0, then of qubit 1
+            expected = ((1.0 - 2.0 * meas_error) * values).clip(-1.0, 1.0)
+            assert pauli_expectations(state, noise).tobytes() == expected.tobytes()
+
     def test_ordering_is_per_qubit_xyz(self):
         # |1> on qubit 1 only: Z1 = -1, Z0 = +1
         state = apply_gate(initial_state(2), GateAction(GateKind.PAULI_X, target=1))
