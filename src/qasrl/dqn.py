@@ -180,9 +180,10 @@ def select_action_greedy(net: QNetwork, observation: np.ndarray) -> int:
 
 def select_action_epsilon_greedy(net: QNetwork, observation: np.ndarray,
                                  epsilon: float, rng: np.random.Generator) -> int:
+    """A uniform random action with probability epsilon, else the greedy one; epsilon = 0 draws nothing."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon out of [0, 1]: {epsilon}")
-    if rng.random() < epsilon:
+    if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(net.output_dim))
     return select_action_greedy(net, observation)
 

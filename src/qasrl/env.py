@@ -60,8 +60,8 @@ class EnvConfig:
             raise ValueError(f"fidelity threshold out of (0, 1]: {self.fidelity_threshold}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be positive, got {self.max_steps}")
-        if not math.isfinite(self.step_penalty):
-            raise ValueError(f"step_penalty must be finite, got {self.step_penalty}")
+        if not math.isfinite(self.step_penalty * self.max_steps):
+            raise ValueError(f"step_penalty {self.step_penalty} over {self.max_steps} steps is not finite")
 
     @property
     def n_qubits(self) -> int:

@@ -270,7 +270,7 @@ def emit_plot(log: RunLog, image_path, window: int = 50):
     lines = ["episode,score_rolling_mean"]
     lines += [
         f"{row.episode},{format(value, '.12g')}"
-        for row, value in zip(log.rows, rolling)
+        for row, value in zip(log, rolling)
     ]
     write_file(rolling_csv_path, ("\n".join(lines) + "\n").encode("utf-8"))
 
@@ -280,7 +280,7 @@ def emit_plot(log: RunLog, image_path, window: int = 50):
     canvas[top:bottom + 1, [left, right]] = 0
     canvas[[top, bottom], left:right + 1] = 0
     if len(log):
-        episodes = np.array([row.episode for row in log.rows], dtype=float)
+        episodes = np.array([row.episode for row in log], dtype=float)
         px = _to_pixels(episodes, episodes.min(), episodes.max(),
                         left + _FRAME_INSET, right - _FRAME_INSET)
         # Rows grow downwards, so the score range maps onto bottom..top.

@@ -54,6 +54,8 @@ class PPRConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.temperature_step < 0:
             raise ValueError(f"temperature_step must not be negative, got {self.temperature_step}")
+        if not math.isfinite(self.temperature(max(self.episodes - 1, 0))):
+            raise ValueError(f"temperature_step {self.temperature_step} overflows the ramp by episode {self.episodes}")
         for name in ("epsilon_start", "epsilon_decay", "epsilon_min", "follow_prob", "follow_decay"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} out of [0, 1]: {getattr(self, name)}")
@@ -115,16 +117,11 @@ def softmax_select(scores: np.ndarray, temperature: float, rng: np.random.Genera
     scores = np.asarray(scores, dtype=float)
     if scores.size == 0:
         raise ValueError("no slots to select from")
-    if scores.size == 1:  # what the arithmetic below gives, after the same one draw
-        rng.random()
-        return np.array([1.0]), 0
     logits = temperature * scores
     logits = logits - logits.max()
     weights = np.exp(logits)
     probs = weights / weights.sum()
-    # The inverse-CDF draw of rng.choice(scores.size, p=probs), without its checks.
-    cdf = probs.cumsum()
-    return probs, int((cdf / cdf[-1]).searchsorted(rng.random(), side="right"))
+    return probs, int(rng.choice(scores.size, p=probs))
 
 
 def _play_episode(env: CircuitEnv, agent: DQNAgent, choose) -> EpisodeRecord:
@@ -150,12 +147,7 @@ def q_learning_episode(env: CircuitEnv, agent: DQNAgent, rng: np.random.Generato
 
     Greedy by default; pass epsilon > 0 for epsilon-greedy exploration.
     """
-    def choose(obs, _):
-        if epsilon > 0.0:
-            return select_action_epsilon_greedy(agent.policy_net, obs, epsilon, rng)
-        return select_action_greedy(agent.policy_net, obs)
-
-    return _play_episode(env, agent, choose)
+    return _play_episode(env, agent, lambda obs, _: select_action_epsilon_greedy(agent.policy_net, obs, epsilon, rng))
 
 
 def pi_exploration_episode(env: CircuitEnv, agent: DQNAgent, past_policy: QNetwork,
@@ -201,14 +193,14 @@ class RunLog(list):
 
     @property
     def rows(self) -> "RunLog":
-        return self  # the log is its list of rows
+        return self  # the log itself, kept for its one reader, perfbench's Curriculum.summary
 
     def scores(self) -> np.ndarray:
-        return np.array([r.score for r in self.rows])
+        return np.array([r.score for r in self])
 
     def to_csv(self, path) -> None:
         lines = [",".join(CSV_COLUMNS)]
-        for row in self.rows:
+        for row in self:
             cells = []
             for col in CSV_COLUMNS:
                 value = getattr(row, col)

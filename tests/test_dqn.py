@@ -217,8 +217,10 @@ class TestActionSelection:
             q = rng.normal(size=12)
             net = constant_output_network(q, 6)
             greedy = select_action_greedy(net, np.zeros(6))
+            state = rng.bit_generator.state
             eps = select_action_epsilon_greedy(net, np.zeros(6), 0.0, rng)
             assert greedy == eps
+            assert rng.bit_generator.state == state  # no draw at epsilon 0
 
     def test_epsilon_one_is_uniform(self):
         net = constant_output_network([100.0] + [0.0] * 11, 6)

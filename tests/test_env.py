@@ -184,7 +184,7 @@ class TestEnvConfig:
         with pytest.raises(ValueError):
             EnvConfig(max_steps=0)
 
-    @pytest.mark.parametrize("penalty", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("penalty", [float("nan"), float("inf"), float("-inf"), 1e307])  # 1e307: its 20 steps overflow
     def test_step_penalty_must_be_finite(self, penalty):
         with pytest.raises(ValueError, match="step_penalty"):
             EnvConfig(step_penalty=penalty)

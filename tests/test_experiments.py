@@ -209,7 +209,7 @@ class TestRunLog:
         path = tmp_path / "runlog.csv"
         rows.to_csv(path)
         loaded = RunLog.from_csv(path)
-        assert loaded.rows == rows.rows
+        assert loaded == rows
 
     def test_csv_header(self, tmp_path):
         path = tmp_path / "runlog.csv"
@@ -317,7 +317,7 @@ class TestRunSingle:
         chain = ppr_run(CircuitEnv(build_environment(3)), PolicyLibrary(),
                         PPRConfig(episodes=30, use_epsilon_greedy=True), np.random.default_rng(7))
         assert log.scores().tobytes() == RunLog(chain.log).scores().tobytes()
-        assert log.rows == chain.log
+        assert log == chain.log
 
 
     def test_run_single_returns_and_writes_the_log_ppr_run_filled(self, tmp_path, monkeypatch):
@@ -621,7 +621,7 @@ class TestCurriculum:
             chain = ppr_run(CircuitEnv(build_environment(k)), library, config, np.random.default_rng(seed * 1000 + k))
             library.append(chain.policy, f"env-{k}")
             assert log.scores().tobytes() == RunLog(chain.log).scores().tobytes()
-            assert log.rows == chain.log
+            assert log == chain.log
 
     def test_a_deleted_library_is_rewritten_without_training(self, tmp_path, monkeypatch):
         """library/ is written from the stages' own files, so deleting it retrains nothing."""
@@ -758,8 +758,10 @@ class TestCli:
         ("adam_beta2", 2.0),
         ("learning_rate", float("inf")),
         ("step_penalty", float("nan")),
+        ("step_penalty", 1e307),  # finite, but not over max_steps = 20
         ("temperature_init", float("nan")),
         ("temperature_step", float("inf")),
+        ("temperature_step", 1e308),  # finite, but its ramp overflows by episode 6
         ("follow_prob", 1.5),
         ("follow_decay", -0.1),
     ])

@@ -121,8 +121,8 @@ def test_default_config_file(tmp_path, monkeypatch):
 
 
 def test_softmax_select_draws_as_rng_choice():
-    # softmax_select inverts the CDF itself; it must draw the slot rng.choice
-    # would and leave the generator in the same state, or trajectories move.
+    # softmax_select must draw the slot rng.choice draws and leave the
+    # generator in the same state, or trajectories move.
     for seed in range(300):
         rng = np.random.default_rng(seed)
         scores = rng.normal(size=1 + seed % 7)

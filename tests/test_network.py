@@ -173,6 +173,8 @@ class TestLossAndGradient:
             mse_loss_and_grad(net, np.ones((2, 6)), np.array([0]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             mse_loss_and_grad(net, np.ones((1, 6)), np.array([12]), np.array([1.0]))
+        with pytest.raises(ValueError, match="empty batch"):
+            mse_loss_and_grad(net, np.ones((0, 6)), np.array([], dtype=int), np.array([]))
 
     @pytest.mark.parametrize("inputs", [np.ones(6), np.float64(1.0)], ids=["1-D", "0-D"])
     def test_only_a_2d_batch_is_taken(self, inputs):

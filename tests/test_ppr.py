@@ -86,6 +86,10 @@ class TestSoftmaxSelect:
         with pytest.raises(ValueError):
             softmax_select(np.array([]), 1.0, np.random.default_rng(0))
 
+    def test_nan_probabilities_raise(self):
+        with pytest.raises(ValueError, match="NaN"), np.errstate(invalid="ignore"):  # inf * 0 is NaN
+            softmax_select(np.array([0.0, 1.0]), math.inf, np.random.default_rng(0))
+
     def test_single_slot_always_chosen(self):
         _, slot = softmax_select(np.array([0.0]), 0.0, np.random.default_rng(0))
         assert slot == 0
@@ -222,7 +226,9 @@ class TestPolicyLibrary:
         '{"format_version": 1, "policies": [',
         '{"format_version": 1, "policies": [{"file": "policy_000.qnet", "tag": 5}]}',
         '{"format_version": 1, "policies": [{"file": "policy_000.qnet", "tag": ["x"]}]}',
-    ], ids=["no_file", "no_tag", "no_policies", "entry_not_an_object", "bad_json", "tag_a_number", "tag_a_list"])
+        '{"format_version": 2, "policies": []}',
+    ], ids=["no_file", "no_tag", "no_policies", "entry_not_an_object", "bad_json", "tag_a_number", "tag_a_list",
+            "unsupported_format"])
     def test_malformed_manifest_is_a_value_error_naming_it(self, tmp_path, manifest):
         library = PolicyLibrary()
         library.append(QNetwork([6, 8, 12]), "env-0")
@@ -508,6 +514,7 @@ class TestPprConfigValidation:
         (dict(epsilon_decay=float("nan")), "epsilon_decay"),
         (dict(epsilon_min=-0.01), "epsilon_min"),
         (dict(epsilon_min=1.01), "epsilon_min"),
+        (dict(temperature_step=1e307), "temperature_step"),  # finite, but its ramp overflows by episode 1000
     ])
     def test_rejects_with_the_field_name(self, kwargs, field):
         with pytest.raises(ValueError, match=field):

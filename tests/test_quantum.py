@@ -77,6 +77,14 @@ class TestGateActions:
         with pytest.raises(ValueError):
             GateAction(GateKind.HADAMARD, target=0, control=1)
 
+    @pytest.mark.parametrize("qubits, message", [(dict(target=-1), "negative target qubit -1"),
+                                                 (dict(target=0, control=-2), "negative control qubit -2")],
+                             ids=["target", "control"])
+    def test_negative_qubit_is_refused(self, qubits, message):
+        kind = GateKind.CNOT if "control" in qubits else GateKind.HADAMARD
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GateAction(kind, **qubits)
+
     def test_out_of_range_qubit(self):
         with pytest.raises(ValueError):
             apply_gate(initial_state(2), GateAction(GateKind.PAULI_X, target=2))
@@ -337,6 +345,10 @@ class TestValidation:
             NoiseSpec(gate_error={GateKind.PAULI_X: 1.5})
         with pytest.raises(ValueError):
             NoiseSpec(meas_error=-0.1)
+
+    def test_noise_spec_keys_are_gate_kinds(self):
+        with pytest.raises(TypeError, match="^gate_error key 'x' is not a GateKind$"):
+            NoiseSpec(gate_error={"x": 0.01})
 
 
 class TestStateVector:

@@ -19,6 +19,14 @@ def test_from_csv_rejects_wrong_cell_count(tmp_path, row):
         RunLog.from_csv(path)
 
 
+@pytest.mark.parametrize("text", ["", "episode,score\n1,0.5\n"], ids=["empty", "other_columns"])
+def test_from_csv_rejects_a_file_without_the_header(tmp_path, text):
+    path = tmp_path / "runlog.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"runlog\.csv is not a run log \(bad header\)$"):
+        RunLog.from_csv(path)
+
+
 def test_plot_command_reports_bad_row_in_one_line(tmp_path, capsys):
     path = tmp_path / "runlog.csv"
     path.write_text(",".join(CSV_COLUMNS) + "\n1,0.5\n")
