@@ -60,7 +60,8 @@ class EnvConfig:
             raise ValueError(f"fidelity threshold out of (0, 1]: {self.fidelity_threshold}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be positive, got {self.max_steps}")
-        if not math.isfinite(self.step_penalty * self.max_steps):
+        # A step budget past the float range counts as 2**1023 steps, more than any episode takes.
+        if not math.isfinite(self.step_penalty * min(self.max_steps, 2**1023)):
             raise ValueError(f"step_penalty {self.step_penalty} over {self.max_steps} steps is not finite")
 
     @property

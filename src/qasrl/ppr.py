@@ -49,13 +49,12 @@ class PPRConfig:
             raise ValueError(f"episodes must not be negative, got {self.episodes}")
         if self.target_update_period < 1:
             raise ValueError(f"target_update_period must be positive, got {self.target_update_period}")
-        for name in ("temperature_init", "temperature_step"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.temperature_init):
+            raise ValueError(f"temperature_init must be finite, got {self.temperature_init}")
         if self.temperature_step < 0:
             raise ValueError(f"temperature_step must not be negative, got {self.temperature_step}")
-        if not math.isfinite(self.temperature(max(self.episodes - 1, 0))):
-            raise ValueError(f"temperature_step {self.temperature_step} overflows the ramp by episode {self.episodes}")
+        if not math.isfinite(self.temperature(max(self.episodes - 1, 0))):  # also a step that is not finite
+            raise ValueError(f"temperature_step {self.temperature_step} is not finite over {self.episodes} episodes")
         for name in ("epsilon_start", "epsilon_decay", "epsilon_min", "follow_prob", "follow_decay"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} out of [0, 1]: {getattr(self, name)}")

@@ -189,6 +189,11 @@ class TestEnvConfig:
         with pytest.raises(ValueError, match="step_penalty"):
             EnvConfig(step_penalty=penalty)
 
+    def test_step_budget_past_the_float_range(self):
+        EnvConfig(max_steps=10**400)  # no OverflowError from the penalty total's int-to-float conversion
+        with pytest.raises(ValueError, match="^step_penalty 2.0 over 1"):
+            EnvConfig(max_steps=10**400, step_penalty=2.0)
+
     def test_custom_target(self):
         plus = TargetState(np.array([1, 1], dtype=complex) / np.sqrt(2))
         env = CircuitEnv(EnvConfig(target=plus, fidelity_threshold=0.9))
