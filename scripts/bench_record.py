@@ -17,7 +17,9 @@ seed runs the same command with --trace 1 once per side, and tier-1
 (pytest) runs once per checkout, recording the seconds its acceptance
 fixture's setup took.  Everything runs one process at a time, and the
 record is rewritten after every run, so an interrupted recording keeps
-what it measured.
+what it measured.  A checkout whose src/ or perfbench/ holds cached
+bytecode is refused before anything runs; run the recorder with
+PYTHONDONTWRITEBYTECODE=1 so that none is written while it records.
 """
 
 import argparse
@@ -170,6 +172,12 @@ def claim_error(claim: str, bench: dict, pairs: list[tuple[str, list[int]]]) -> 
     return None
 
 
+def bytecode_dir(d: Path) -> Path | None:
+    """The first ``__pycache__`` directory under ``d``'s src/ or perfbench/ that holds .pyc files, or None."""
+    return next((pyc.parent for sub in ("src", "perfbench") for pyc in sorted((d / sub).glob("**/__pycache__/*.pyc"))),
+                None)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -184,6 +192,9 @@ def main() -> None:
     bench = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
     if args.claim and (error := claim_error(args.claim, bench, args.pairs)):
         parser.error(error)
+    # A worker that loads cached bytecode skips compiling qasrl, so its setup_s and peak_rss_mb read lower.
+    for cached in filter(None, map(bytecode_dir, dirs.values())):
+        parser.error(f"{cached} holds compiled bytecode, which lowers perfbench's setup_s and peak_rss_mb; remove it")
     claim_workload, _, claim_metric = (args.claim or "").partition(":")
     record = {
         "change": args.note,

@@ -109,36 +109,32 @@ class CircuitEnv:
         return 3 * self.config.n_qubits
 
     def reset(self) -> np.ndarray:
-        self._state = initial_state(self.config.n_qubits)
+        config = self.config
+        state = self._state = initial_state(config.n_qubits)
         self._done = False
         self._taken = []
-        self._fidelity = fidelity(self._state, self.config.target)
-        return pauli_expectations(self._state, self.config.noise)
+        self._fidelity = fidelity(state, config.target)
+        return pauli_expectations(state, config.noise)
 
     def step(self, action: int) -> StepResult:
         """Apply the gate at index ``action`` of ``self.actions``."""
-        if self._state is None:
+        state, actions, config = self._state, self.actions, self.config
+        if state is None:
             raise RuntimeError("call reset() before step()")
         if self._done:
             raise RuntimeError("episode finished; call reset()")
-        if not 0 <= action < len(self.actions):
-            raise ValueError(f"action index {action} out of range 0..{len(self.actions) - 1}")
-        gate = self.actions[action]
-        self._state = apply_gate(self._state, gate, self.config.noise)
+        if not 0 <= action < len(actions):
+            raise ValueError(f"action index {action} out of range 0..{len(actions) - 1}")
+        gate = actions[action]
+        state = self._state = apply_gate(state, gate, config.noise)
         self._taken.append(gate)
-        self._fidelity = fidelity(self._state, self.config.target)
-        if self._fidelity >= self.config.fidelity_threshold:
-            self._done = True
-            reward = self._fidelity
+        fid = self._fidelity = fidelity(state, config.target)
+        if fid >= config.fidelity_threshold:
+            done, reward = True, fid
         else:
-            self._done = len(self._taken) >= self.config.max_steps
-            reward = -self.config.step_penalty
-        return StepResult(
-            observation=pauli_expectations(self._state, self.config.noise),
-            reward=reward,
-            done=self._done,
-            fidelity=self._fidelity,
-        )
+            done, reward = len(self._taken) >= config.max_steps, -config.step_penalty
+        self._done = done
+        return StepResult(pauli_expectations(state, config.noise), reward, done, fid)
 
     def episode_record(self) -> EpisodeRecord:
         """Snapshot of the current (or just finished) episode."""

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 SNAPSHOT_FORMAT_VERSION = 1
+_ZERO = np.broadcast_to(0.0, ())  # the ReLU's bound: a read-only 0-d float64 array, which a ufunc takes as it is
 
 
 def _checked_layer_sizes(layer_sizes) -> tuple[list[int], int]:
@@ -78,18 +79,24 @@ class QNetwork:
         x = np.asarray(inputs, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.layer_sizes[0]:
             raise ValueError(f"input shape {x.shape} does not match network input {self.layer_sizes[0]}")
-        single = x.ndim == 1
+        h = x
+        if x.ndim == 1:
+            for w, b in zip(self.weights, self.biases):
+                if h is not x:  # ReLU on each hidden layer
+                    np.maximum(h, _ZERO, out=h)
+                h = h.dot(w)
+                h += b
+            return h
         outs = [None] * len(self.weights)
-        if workspace is not None and not single:
+        if workspace is not None:
             if len(x) != len(workspace.out) or workspace.layer_sizes != self.layer_sizes:
                 raise ValueError(f"a workspace of {len(workspace.out)} rows for layer sizes {workspace.layer_sizes} "
                                  f"does not fit a batch of {len(x)} rows for layer sizes {self.layer_sizes}")
             outs = workspace.layers
-        h = x
         for w, b, buffer in zip(self.weights, self.biases, outs):
-            if h is not x:  # ReLU on each hidden layer
-                np.maximum(h, 0.0, out=h)
-            h = h.dot(w) if single else np.matmul(h, w, out=buffer)
+            if h is not x:
+                np.maximum(h, _ZERO, out=h)
+            h = np.matmul(h, w, out=buffer)
             h += b
         return h
 

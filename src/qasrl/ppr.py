@@ -112,7 +112,9 @@ class PolicyLibrary:
 
 def softmax_select(scores: np.ndarray, temperature: float, rng: np.random.Generator):
     """Draw a slot from softmax(temperature * scores); max-subtracted for
-    numerical safety.  Returns (probabilities, chosen index)."""
+    numerical safety.  Returns (probabilities, chosen index).  The draw is
+    ``Generator.choice``'s inverse CDF: the slot and the generator's state
+    are those ``rng.choice(scores.size, p=probs)`` gives."""
     scores = np.asarray(scores, dtype=float)
     if scores.size == 0:
         raise ValueError("no slots to select from")
@@ -120,7 +122,10 @@ def softmax_select(scores: np.ndarray, temperature: float, rng: np.random.Genera
     logits = logits - logits.max()
     weights = np.exp(logits)
     probs = weights / weights.sum()
-    return probs, int(rng.choice(scores.size, p=probs))
+    cdf = probs.cumsum()
+    if np.isnan(cdf[-1]):
+        raise ValueError(f"slot probabilities contain NaN: {probs}")
+    return probs, int((cdf / cdf[-1]).searchsorted(rng.random(), side="right"))
 
 
 def _play_episode(env: CircuitEnv, agent: DQNAgent, choose) -> EpisodeRecord:

@@ -32,6 +32,9 @@ _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 _PAULI_1Q = (_I2, _X, _Y, _Z)
 
+# An observation's clamp bounds as read-only 0-d float64 arrays, which a ufunc takes as they are.
+_MINUS_ONE, _ONE = np.broadcast_to(-1.0, ()), np.broadcast_to(1.0, ())
+
 
 class GateKind(enum.Enum):
     """The native gate set: one parameterless rotation, the Paulis, Hadamard, CNOT.
@@ -229,7 +232,7 @@ def apply_gate(state: np.ndarray, action: GateAction, noise: NoiseSpec | None = 
     The state has 4^n coordinates, whose bit length 2n + 1 gives n; it is
     not checked, so it must be one the simulator made (``initial_state``,
     ``apply_gate`` or ``pauli_coordinates``)."""
-    p = noise.gate_p(action.kind) if noise is not None else 0.0
+    p = noise.gate_error.get(action.kind, 0.0) if noise is not None else 0.0
     out = transfer_matrix(action, len(state).bit_length() >> 1, p).dot(state)
     out.setflags(write=False)
     return out
@@ -241,11 +244,12 @@ def pauli_expectations(state: np.ndarray, noise: NoiseSpec | None = None) -> np.
     ``apply_gate``, it takes only a state the simulator made, unchecked."""
     scale = 1.0 - 2.0 * (noise.meas_error if noise is not None else 0.0)
     out = state[_local_indices(len(state).bit_length() >> 1)]  # a new array, scaled and clamped in place
-    return np.minimum(np.maximum(np.multiply(out, scale, out=out), -1.0, out=out), 1.0, out=out)  # clip's bits
+    return np.minimum(np.maximum(np.multiply(out, scale, out=out), _MINUS_ONE, out=out), _ONE, out=out)  # clip's bits
 
 
 def fidelity(state: np.ndarray, target: TargetState) -> float:
     """<psi| rho |psi> against a pure target; linear in rho, in [0, 1]."""
-    if target.pauli.shape != state.shape:
+    pauli = target.pauli
+    if len(pauli) != len(state):
         raise ValueError(f"target has {target.n_qubits} qubits, state has {len(state).bit_length() >> 1}")
-    return float(target.pauli.dot(state)) / 2**target.n_qubits
+    return float(pauli.dot(state)) / 2**target.n_qubits

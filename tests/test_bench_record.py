@@ -1,8 +1,8 @@
 """scripts/bench_record.py: its seed specs, the pair rule that decides
 whether a claimed gain is met, the no-regression rule, the acceptance
 fixture's setup time read from tier-1, the machine's reference speed, the
-claims it refuses, and the BLAS kernel, bytecode setting and code of each
-side a record names."""
+claims and the checkouts holding bytecode it refuses, and the BLAS kernel,
+bytecode setting and code of each side a record names."""
 
 import importlib.util
 import json
@@ -197,3 +197,25 @@ def test_a_claim_the_record_cannot_judge_is_one_argparse_error(tmp_path, monkeyp
 def test_a_claim_on_a_paired_end_to_end_metric_is_accepted():
     pairs = [bench_record.seeds("curriculum=1-10")]
     assert bench_record.claim_error("curriculum:peak_rss_mb", BENCHMARK, pairs) is None
+
+
+@pytest.mark.parametrize("side, sub", [("parent", "src/qasrl"), ("change", "perfbench")])
+def test_a_checkout_holding_bytecode_is_one_argparse_error(tmp_path, monkeypatch, capsys, side, sub):
+    dirs = {name: tmp_path / name for name in bench_record.SIDES}
+    for d in dirs.values():
+        (d / "src" / "qasrl").mkdir(parents=True)
+        (d / "perfbench").mkdir()
+    (dirs["change"] / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    cached = dirs[side] / sub / "__pycache__"
+    cached.mkdir()
+    (cached / "module.cpython-311.pyc").write_bytes(b"")
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--parent", str(dirs["parent"]), "--change",
+                                      str(dirs["change"]), "--out", str(out), "--note", "n", "--pairs", "scratch=1-2"])
+    with pytest.raises(SystemExit) as exit_info:
+        bench_record.main()
+    assert exit_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"bench_record.py: error: {cached} holds compiled bytecode, which lowers perfbench's "
+                      "setup_s and peak_rss_mb; remove it"]
+    assert not out.exists()

@@ -3,8 +3,18 @@
 import numpy as np
 import pytest
 
-from qasrl.env import CircuitEnv, EnvConfig, enumerate_actions
-from qasrl.quantum import GateAction, GateKind, NoiseSpec, TargetState
+from qasrl.env import CircuitEnv, EnvConfig, StepResult, enumerate_actions
+from qasrl.experiments import build_environment
+from qasrl.quantum import (
+    GateAction,
+    GateKind,
+    NoiseSpec,
+    TargetState,
+    apply_gate,
+    fidelity,
+    initial_state,
+    pauli_expectations,
+)
 
 H0 = 4  # Hadamard on qubit 0
 CNOT01 = 10
@@ -171,6 +181,42 @@ class TestStep:
             assert rr.reward == r.reward
             assert rr.fidelity == r.fidelity
             assert rr.done == r.done
+
+
+GHZ3 = EnvConfig(target=TargetState(np.array([1, 0, 0, 0, 0, 0, 0, 1], dtype=complex) / np.sqrt(2)),
+                 noise=NoiseSpec(gate_error={GateKind.HADAMARD: 0.01, GateKind.CNOT: 0.02}, meas_error=0.02),
+                 fidelity_threshold=0.6, max_steps=12, step_penalty=0.02)
+
+
+@pytest.mark.parametrize("config", [build_environment(k) for k in range(6)] + [GHZ3],
+                         ids=[f"env{k}" for k in range(6)] + ["ghz3"])
+def test_step_and_reset_return_what_the_simulator_functions_give(config):
+    """Bit for bit: the observation, fidelity, reward and done of each step,
+    and reset's observation and fidelity, against the simulator functions
+    and the threshold-and-budget rule applied by hand on random circuits."""
+    env = CircuitEnv(config)
+    rng = np.random.default_rng(len(config.noise.gate_error) + 7 * config.n_qubits)
+    endings = set()
+    for _ in range(40):
+        state = initial_state(config.n_qubits)
+        assert env.reset().tobytes() == pauli_expectations(state, config.noise).tobytes()
+        assert env.episode_record().final_fidelity.hex() == fidelity(state, config.target).hex()
+        steps, done = 0, False
+        while not done:
+            action = int(rng.integers(env.n_actions))
+            state = apply_gate(state, env.actions[action], config.noise)
+            steps += 1
+            fid = fidelity(state, config.target)
+            reached = fid >= config.fidelity_threshold
+            done = reached or steps >= config.max_steps
+            result = env.step(action)
+            assert type(result) is StepResult and type(result.done) is bool
+            assert result.observation.tobytes() == pauli_expectations(state, config.noise).tobytes()
+            assert result.fidelity.hex() == fid.hex()
+            assert result.reward.hex() == (fid if reached else -config.step_penalty).hex()
+            assert result.done is done
+        endings.add(reached)
+    assert endings == {True, False}  # both the threshold and the budget ended some episode
 
 
 class TestEnvConfig:

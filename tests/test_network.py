@@ -3,6 +3,7 @@ finite differences, Adam against a scripted reference."""
 
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -68,10 +69,14 @@ class TestForward:
         second = net.forward(x)
         np.testing.assert_array_equal(first, second)
 
-    def test_input_dimension_check(self):
+    # Without the check a 0-d or 3-D input would run through the products,
+    # and a 5-entry one would fail inside them without naming its shape.
+    @pytest.mark.parametrize("inputs", [np.ones(5), np.array(1.0), np.ones((1, 1, 6)), [0.5] * 5],
+                             ids=["five_entries", "zero_d", "three_d", "list_of_five"])
+    def test_input_dimension_check(self, inputs):
         net = QNetwork([6, 16, 12])
-        with pytest.raises(ValueError):
-            net.forward(np.ones(5))
+        with pytest.raises(ValueError, match=re.escape(f"input shape {np.shape(inputs)} does not match")):
+            net.forward(inputs)
 
     def test_init_bounds_and_zero_biases(self):
         rng = np.random.default_rng(8)
