@@ -192,7 +192,6 @@ def main() -> None:
     bench = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
     if args.claim and (error := claim_error(args.claim, bench, args.pairs)):
         parser.error(error)
-    # A worker that loads cached bytecode skips compiling qasrl, so its setup_s and peak_rss_mb read lower.
     for cached in filter(None, map(bytecode_dir, dirs.values())):
         parser.error(f"{cached} holds compiled bytecode, which lowers perfbench's setup_s and peak_rss_mb; remove it")
     claim_workload, _, claim_metric = (args.claim or "").partition(":")
