@@ -18,8 +18,8 @@ seed runs the same command with --trace 1 once per side, and tier-1
 fixture's setup took.  Everything runs one process at a time, and the
 record is rewritten after every run, so an interrupted recording keeps
 what it measured.  A checkout whose src/ or perfbench/ holds cached
-bytecode is refused before anything runs; run the recorder with
-PYTHONDONTWRITEBYTECODE=1 so that none is written while it records.
+bytecode is refused before anything runs, and every run gets
+PYTHONDONTWRITEBYTECODE=1, so that none is written while it records.
 """
 
 import argparse
@@ -54,8 +54,14 @@ def seeds(spec: str) -> tuple[str, list[int]]:
     return workload, [int(v) for v in values.split(",")]
 
 
-def run(cwd: Path, argv: list[str], env=None) -> list[str]:
-    proc = subprocess.run(argv, cwd=cwd, capture_output=True, text=True, env=env)
+def child_env(**extra: str) -> dict[str, str]:
+    """The environment of every run: the recorder's own plus ``extra``, and no bytecode written,
+    so tier-1 leaves no src/qasrl/__pycache__ for the perfbench runs after it to load."""
+    return {**os.environ, **extra, "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def run(cwd: Path, argv: list[str], **extra_env: str) -> list[str]:
+    proc = subprocess.run(argv, cwd=cwd, capture_output=True, text=True, env=child_env(**extra_env))
     if proc.returncode:
         raise SystemExit(f"{cwd}: {' '.join(argv)} exited {proc.returncode}\n{proc.stdout}{proc.stderr}")
     return proc.stdout.splitlines()
@@ -142,7 +148,7 @@ def machine() -> dict:
             "blas": f"{blas.get('name')} {blas.get('version')}", "blas_core": blas_core(), "cpu": cpu,
             "cores": os.cpu_count(), "os": platform.system(),
             # Without cached bytecode each perfbench worker compiles qasrl: its setup_s and peak_rss_mb rise.
-            "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}
+            "dont_write_bytecode": bool(child_env().get("PYTHONDONTWRITEBYTECODE"))}
 
 
 def checkout(d: Path) -> dict:
@@ -222,7 +228,7 @@ def main() -> None:
 
     for side, d in dirs.items():
         start = time.monotonic()
-        lines = run(d, TIER1, env={**os.environ, "PYTHONPATH": "src"})
+        lines = run(d, TIER1, PYTHONPATH="src")
         record["tier1"][side] = {"summary": lines[-1], "wall_s": round(time.monotonic() - start, 2),
                                  "acceptance_setup_s": acceptance_setup_s(lines)}
         save()

@@ -32,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     plot_p = sub.add_parser("plot", help="render a score plot from a run log")
     plot_p.add_argument("--log", required=True, help="runlog.csv to read")
-    plot_p.add_argument("--out", required=True, help="PNG file to write")
+    plot_p.add_argument("--out", required=True, help="SVG file to write")
     return parser
 
 
@@ -46,7 +46,7 @@ def _cmd_run(args) -> int:
         sizes = ", ".join(f"{name} = {getattr(config, name)}" for name in ("replay_capacity", "hidden1", "hidden2"))
         raise MemoryError(f"{args.config}: {sizes}: {exc}" if args.config else f"{sizes}: {exc}") from None
     out = Path(config.out)
-    rolling_csv, image = emit_plot(log, out / "scores.png")
+    rolling_csv, image = emit_plot(log, out / "scores.svg")
     final = log.rolling_mean()[-1] if len(log) else float("nan")
     print(f"env {config.env_id} mode {config.mode} seed {config.seed}: "
           f"{len(log)} episodes, final rolling-mean score {final:.4f}")

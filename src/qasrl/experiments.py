@@ -8,10 +8,8 @@ environments reuse.
 
 import dataclasses
 import os
-import struct
 import types
 import typing
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -207,7 +205,8 @@ def run_curriculum(seed: int, output_dir, episodes: int = ExperimentConfig.episo
     which their config.txt names, so that file reruns the stage.  A stage
     whose config.txt exists, which run_single writes last, is done: once that
     file shows this seed and episode count, its log and policy are read back
-    from runlog.csv, at 12 significant digits, and policy.qnet.
+    from runlog.csv, at 12 significant digits, and policy.qnet, and that log
+    must hold episodes 1..episodes.
     """
     ExperimentConfig(seed=seed, episodes=episodes, out=str(output_dir))  # the checks and messages of qasrl run
     out = Path(output_dir)
@@ -231,6 +230,9 @@ def run_curriculum(seed: int, output_dir, episodes: int = ExperimentConfig.episo
                                  f"not the seed {config.seed} and {config.episodes} episodes asked for; "
                                  "delete the output directory to start over")
             log, policy = RunLog.from_csv(env_out / "runlog.csv"), load_policy(env_out / "policy.qnet")
+            if [row.episode for row in log] != list(range(1, config.episodes + 1)):
+                raise ValueError(f"{env_out / 'runlog.csv'}: does not hold episodes 1 to {config.episodes} "
+                                 f"of {config_path}; delete the output directory to start over")
         else:
             if config.library:
                 save_library(library, config.library)
@@ -249,45 +251,48 @@ _FRAME_INSET = 3               # pixels between the frame and the data; keeps 2-
 
 
 def emit_plot(log: RunLog, image_path, window: int = 50):
-    """Write a PNG score plot and its rolling-mean CSV, named like it with suffix .rolling.csv.
+    """Write an SVG score plot and its rolling-mean CSV, named like it with suffix .rolling.csv.
 
-    The plot is a PLOT_WIDTH x PLOT_HEIGHT RGB image: a white background,
-    a black axis frame spanning the episode and score ranges, the episode
-    scores as a SCORE_RGB polyline and their trailing ``window`` mean as
-    a thicker ROLLING_RGB polyline.  It carries no tick labels; the exact
-    values are in the rolling CSV.  Returns (rolling_csv_path, image_path).
-    Raises ValueError if image_path does not end in .png or a score is
-    not finite.
+    The plot is PLOT_WIDTH x PLOT_HEIGHT px: a white background, a black
+    frame spanning the episode and score ranges, and two polylines with one
+    point per episode at 0.1 px, the scores in SCORE_RGB and their trailing
+    ``window`` mean, thicker, in ROLLING_RGB; equal logs give equal bytes.
+    No tick labels: the exact values are in the rolling CSV.  Returns
+    (rolling_csv_path, image_path).  Raises ValueError, before writing, if
+    image_path does not end in .svg or a score is not finite.
     """
     image_path = Path(image_path)
-    if image_path.suffix.lower() != ".png":
-        raise ValueError(f"{image_path}: the score plot is written as PNG only; use a .png file name")
+    if image_path.suffix.lower() != ".svg":
+        raise ValueError(f"{image_path}: the score plot is written as SVG only; use a .svg file name")
     scores = log.scores()
     if not np.isfinite(scores).all():
         raise ValueError("cannot plot a run log with non-finite scores")
     rolling_csv_path = image_path.with_suffix(".rolling.csv")
     rolling = log.rolling_mean(window)
-    lines = ["episode,score_rolling_mean"]
-    lines += [
-        f"{row.episode},{format(value, '.12g')}"
-        for row, value in zip(log, rolling)
-    ]
+    lines = ["episode,score_rolling_mean", *(f"{row.episode},{value:.12g}" for row, value in zip(log, rolling))]
     write_file(rolling_csv_path, ("\n".join(lines) + "\n").encode("utf-8"))
 
-    canvas = np.full((PLOT_HEIGHT, PLOT_WIDTH, 3), 255, dtype=np.uint8)
     top, left = _FRAME_MARGIN, _FRAME_MARGIN
     bottom, right = PLOT_HEIGHT - 1 - _FRAME_MARGIN, PLOT_WIDTH - 1 - _FRAME_MARGIN
-    canvas[top:bottom + 1, [left, right]] = 0
-    canvas[[top, bottom], left:right + 1] = 0
+    svg = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{PLOT_WIDTH}" height="{PLOT_HEIGHT}">',
+           '<rect width="100%" height="100%" fill="white"/>',
+           # Half-pixel offsets put the 1-px frame on whole pixels.
+           f'<rect x="{left + 0.5}" y="{top + 0.5}" width="{right - left}" height="{bottom - top}" '
+           'fill="none" stroke="black"/>']
     if len(log):
         episodes = np.array([row.episode for row in log], dtype=float)
         px = _to_pixels(episodes, episodes.min(), episodes.max(),
-                        left + _FRAME_INSET, right - _FRAME_INSET)
-        # Rows grow downwards, so the score range maps onto bottom..top.
+                        left + _FRAME_INSET, right - _FRAME_INSET).tolist()
+        # y grows downwards, so the score range maps onto bottom..top.
         y_range = (scores.min(), scores.max(), bottom - _FRAME_INSET, top + _FRAME_INSET)
-        _draw_polyline(canvas, px, _to_pixels(scores, *y_range), SCORE_RGB, 1)
-        _draw_polyline(canvas, px, _to_pixels(rolling, *y_range), ROLLING_RGB, 2)
-    write_file(image_path, _encode_png(canvas))
+        for values, rgb, width in ((scores, SCORE_RGB, 1), (rolling, ROLLING_RGB, 2)):
+            points = [f"{x:.1f},{y:.1f}" for x, y in zip(px, _to_pixels(values, *y_range).tolist())]
+            if len(points) == 1:  # a zero-length segment, which round caps draw as a dot
+                points *= 2
+            svg.append(f'<polyline points="{" ".join(points)}" fill="none" stroke="rgb{rgb}" '
+                       f'stroke-width="{width}" stroke-linecap="round" stroke-linejoin="round"/>')
+    svg.append("</svg>")
+    write_file(image_path, ("\n".join(svg) + "\n").encode("utf-8"))
     return rolling_csv_path, image_path
 
 
@@ -297,36 +302,3 @@ def _to_pixels(values: np.ndarray, lo: float, hi: float, start: float, stop: flo
     if hi / 2 == lo / 2:
         return np.full(len(values), (start + stop) / 2)
     return start + (values / 2 - lo / 2) * ((stop - start) / (hi / 2 - lo / 2))
-
-
-def _draw_polyline(canvas: np.ndarray, px: np.ndarray, py: np.ndarray, rgb, thickness: int) -> None:
-    """Colour the pixels along the segments joining consecutive (px, py)
-    points, ``thickness`` rows tall.  Each segment is sampled once per
-    pixel of its longer side, all segments in one vectorised pass."""
-    # A trailing zero-length segment closes the list, so one point still draws.
-    dx = np.append(np.diff(px), 0.0)
-    dy = np.append(np.diff(py), 0.0)
-    counts = np.ceil(np.maximum(np.abs(dx), np.abs(dy))).astype(int) + 1
-    segment = np.repeat(np.arange(len(px)), counts)
-    position = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    t = position / np.maximum(counts - 1, 1)[segment]
-    cols = np.rint(px[segment] + t * dx[segment]).astype(int)
-    rows = np.rint(py[segment] + t * dy[segment]).astype(int)
-    for offset in range(thickness):
-        canvas[rows + offset, cols] = rgb
-
-
-def _encode_png(rgb: np.ndarray) -> bytes:
-    """8-bit RGB PNG of an (height, width, 3) uint8 array.  It holds only
-    IHDR, IDAT and IEND, so equal pixels always give equal bytes."""
-    height, width, _ = rgb.shape
-    raw = np.zeros((height, 1 + 3 * width), dtype=np.uint8)  # leading 0: filter type None
-    raw[:, 1:] = rgb.reshape(height, 3 * width)
-
-    def chunk(kind: bytes, data: bytes) -> bytes:
-        return struct.pack(">I", len(data)) + kind + data + struct.pack(">I", zlib.crc32(kind + data))
-
-    return (b"\x89PNG\r\n\x1a\n"
-            + chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0))
-            + chunk(b"IDAT", zlib.compress(raw.tobytes()))
-            + chunk(b"IEND", b""))

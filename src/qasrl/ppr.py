@@ -214,7 +214,10 @@ class RunLog(list):
 
     @classmethod
     def from_csv(cls, path) -> "RunLog":
-        lines = Path(path).read_text().splitlines()
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise file_error(path, exc) from None
         if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
             raise ValueError(f"{path} is not a run log (bad header)")
         rows = []

@@ -112,9 +112,6 @@ class NoiseSpec:
         if not 0.0 <= self.meas_error <= 1.0:
             raise ValueError(f"meas_error out of [0, 1]: {self.meas_error}")
 
-    def gate_p(self, kind: GateKind) -> float:
-        return self.gate_error.get(kind, 0.0)
-
 
 @functools.lru_cache(maxsize=None)
 def _pauli_basis(n_qubits: int) -> np.ndarray:

@@ -1,8 +1,8 @@
 """scripts/bench_record.py: its seed specs, the pair rule that decides
 whether a claimed gain is met, the no-regression rule, the acceptance
 fixture's setup time read from tier-1, the machine's reference speed, the
-claims and the checkouts holding bytecode it refuses, and the BLAS kernel,
-bytecode setting and code of each side a record names."""
+claims and the checkouts holding bytecode it refuses, the environment of its
+runs, and the BLAS kernel, bytecode setting and code of each side a record names."""
 
 import importlib.util
 import json
@@ -129,10 +129,10 @@ def test_machine_names_the_blas_kernel_in_use():
     assert forced.stdout == "Nehalem\n"
 
 
-@pytest.mark.parametrize("setting, expected", [(None, False), ("1", True)], ids=["cached", "not_cached"])
-def test_machine_records_whether_bytecode_is_written(setting, expected):
-    """PYTHONDONTWRITEBYTECODE reaches every perfbench worker the recording process starts."""
-    assert bench_record.machine()["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)
+@pytest.mark.parametrize("setting", [None, "1"], ids=["cached", "not_cached"])
+def test_machine_records_whether_bytecode_is_written(setting):
+    """The record says that its runs wrote no bytecode, whether or not the recorder itself writes it."""
+    assert bench_record.machine()["dont_write_bytecode"] is True
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     if setting:
         env["PYTHONDONTWRITEBYTECODE"] = setting
@@ -141,7 +141,40 @@ def test_machine_records_whether_bytecode_is_written(setting, expected):
             "print(module.machine()['dont_write_bytecode'])")
     out = subprocess.run([sys.executable, "-c", load, str(SCRIPT)], capture_output=True, text=True, check=True,
                          env=env)
-    assert out.stdout == f"{expected}\n"
+    assert out.stdout == "True\n"
+
+
+def test_every_run_writes_no_bytecode(tmp_path, monkeypatch):
+    """Tier-1, the perfbench pairs and the traced runs of both sides all get
+    PYTHONDONTWRITEBYTECODE=1, though the recorder's own environment does not set it."""
+    dirs = {name: tmp_path / name for name in bench_record.SIDES}
+    for d in dirs.values():
+        d.mkdir()
+    (dirs["change"] / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    perfbench_out = json.dumps({"metrics": {m["name"]: {"value": 1.0} for m in BENCHMARK["end_to_end"]},
+                                "failed": 0})
+    runs = []
+
+    def fake_run(argv, cwd=None, env=None, **kwargs):
+        if argv[0] == "git":
+            raise OSError("no git here")
+        runs.append((cwd, argv, env))
+        stdout = "1 passed in 0.01s" if "pytest" in argv else perfbench_out
+        return subprocess.CompletedProcess(argv, 0, stdout + "\n", "")
+
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--parent", str(dirs["parent"]), "--change",
+                                      str(dirs["change"]), "--out", str(out), "--note", "n",
+                                      "--pairs", "scratch=1-2", "--trace", "rollout=3"])
+    bench_record.main()
+    tier1 = [(cwd, env) for cwd, argv, env in runs if "pytest" in argv]
+    assert [cwd for cwd, _ in tier1] == [dirs["parent"], dirs["change"]]
+    assert all(env["PYTHONPATH"] == "src" for _, env in tier1)
+    assert len(runs) == 2 + 2 * 2 + 2
+    assert all(env["PYTHONDONTWRITEBYTECODE"] == "1" for _, _, env in runs)
+    assert json.loads(out.read_text())["machine"]["dont_write_bytecode"] is True
 
 
 def test_blas_kernel_is_unknown_where_the_library_does_not_name_it(monkeypatch):

@@ -1,5 +1,5 @@
 """Experiment harness tests: noise schedule, config round-trips, run
-artifacts, determinism, curriculum resume, the PNG score plot, and the
+artifacts, determinism, curriculum resume, the SVG score plot, and the
 CLI entry point."""
 
 import dataclasses
@@ -7,8 +7,7 @@ import itertools
 import os
 import re
 import shutil
-import struct
-import zlib
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -127,7 +126,7 @@ class TestExperimentConfig:
 
     def test_error_override_beats_stage_table(self):
         config = ExperimentConfig(env_id=1, error_x=0.2)
-        assert config.env_config().noise.gate_p(GateKind.PAULI_X) == 0.2
+        assert config.env_config().noise.gate_error.get(GateKind.PAULI_X, 0.0) == 0.2
 
     @pytest.mark.parametrize("env_id", range(6))
     def test_default_env_config_is_the_numbered_environment(self, env_id):
@@ -135,8 +134,8 @@ class TestExperimentConfig:
 
     def test_zero_override_makes_a_gate_noiseless(self):
         noise = ExperimentConfig(env_id=3, error_cnot=0.0).env_config().noise
-        assert noise.gate_p(GateKind.CNOT) == 0.0
-        assert noise.gate_p(GateKind.PAULI_X) == 0.01
+        assert noise.gate_error.get(GateKind.CNOT, 0.0) == 0.0
+        assert noise.gate_error.get(GateKind.PAULI_X, 0.0) == 0.01
 
     @pytest.mark.parametrize("text, message", [
         ("seed = abc\n", r"^config line 1 \(seed\): invalid literal for int\(\)"),
@@ -337,42 +336,44 @@ class TestRunSingle:
 class TestEmitPlot:
     def test_writes_rolling_csv_and_image(self, tmp_path):
         log, _ = run_single(tiny_config(tmp_path, episodes=10))
-        rolling_path, image_path = emit_plot(log, tmp_path / "scores.png", window=4)
+        rolling_path, image_path = emit_plot(log, tmp_path / "scores.svg", window=4)
         assert rolling_path == tmp_path / "scores.rolling.csv"
         lines = rolling_path.read_text().splitlines()
         assert lines[0] == "episode,score_rolling_mean"
         assert len(lines) == 11
-        assert image_path is not None
-        assert image_path.stat().st_size > 0
+        assert image_path == tmp_path / "scores.svg"
+        assert [len(points) for _, points in read_svg(image_path).values()] == [10, 10]
 
 
-def read_png(path):
-    """Decode an 8-bit RGB PNG with struct and zlib alone, checking its
-    framing on the way; returns the (height, width, 3) pixel array."""
-    data = path.read_bytes()
-    assert data[:8] == b"\x89PNG\r\n\x1a\n"
-    chunks, pos = [], 8
-    while pos < len(data):
-        (length,) = struct.unpack(">I", data[pos : pos + 4])
-        kind, body = data[pos + 4 : pos + 8], data[pos + 8 : pos + 8 + length]
-        (crc,) = struct.unpack(">I", data[pos + 8 + length : pos + 12 + length])
-        assert crc == zlib.crc32(kind + body), kind
-        chunks.append((kind, body))
-        pos += 12 + length
-    # No ancillary chunks (tIME, tEXt, ...) that could vary between writes.
-    assert [kind for kind, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
-    width, height, depth, colour_type, _, _, _ = struct.unpack(">IIBBBBB", chunks[0][1])
-    assert (width, height) == (PLOT_WIDTH, PLOT_HEIGHT)
-    assert (depth, colour_type) == (8, 2)
-    raw = zlib.decompress(chunks[1][1])
-    assert len(raw) == height * (1 + 3 * width)
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, 1 + 3 * width)
-    assert not rows[:, 0].any()  # filter type None on every scanline
-    return rows[:, 1:].reshape(height, width, 3)
+SVG = "{http://www.w3.org/2000/svg}"
 
 
-def has_colour(pixels, rgb) -> bool:
-    return bool((pixels == np.array(rgb, dtype=np.uint8)).all(axis=2).any())
+def read_svg(path):
+    """Parse a score plot, checking its size, white background, black frame
+    and that every point is finite and inside the frame; returns
+    {stroke rgb: (stroke width, (n, 2) array of x, y points)}."""
+    root = ET.parse(path).getroot()
+    assert root.tag == f"{SVG}svg"
+    assert (root.get("width"), root.get("height")) == (str(PLOT_WIDTH), str(PLOT_HEIGHT))
+    background, frame, *polylines = root
+    assert background.tag == f"{SVG}rect" and background.get("fill") == "white"
+    assert (background.get("width"), background.get("height")) == ("100%", "100%")
+    assert frame.tag == f"{SVG}rect" and (frame.get("fill"), frame.get("stroke")) == ("none", "black")
+    x0, y0, width, height = (float(frame.get(name)) for name in ("x", "y", "width", "height"))
+    assert 0 < x0 < x0 + width < PLOT_WIDTH and 0 < y0 < y0 + height < PLOT_HEIGHT
+    lines = {}
+    for line in polylines:
+        assert line.tag == f"{SVG}polyline" and line.get("fill") == "none"
+        assert line.get("stroke-linecap") == "round"
+        rgb = tuple(int(c) for c in re.fullmatch(r"rgb\((\d+), (\d+), (\d+)\)", line.get("stroke")).groups())
+        stroke_width = float(line.get("stroke-width"))
+        points = np.array([[float(v) for v in point.split(",")] for point in line.get("points").split()])
+        assert np.isfinite(points).all()
+        # The stroke, half its width either side of a point, stays off the frame.
+        assert (points[:, 0] - stroke_width / 2 > x0).all() and (points[:, 0] + stroke_width / 2 < x0 + width).all()
+        assert (points[:, 1] - stroke_width / 2 > y0).all() and (points[:, 1] + stroke_width / 2 < y0 + height).all()
+        lines[rgb] = (stroke_width, points)
+    return lines
 
 
 def score_log(scores) -> RunLog:
@@ -384,34 +385,44 @@ def score_log(scores) -> RunLog:
 class TestPngWriter:
     def test_valid_png_with_both_lines(self, tmp_path):
         scores = np.random.default_rng(31).uniform(-0.2, 1.0, size=150)
-        _, image_path = emit_plot(score_log(scores), tmp_path / "scores.png", window=20)
-        pixels = read_png(image_path)
-        assert has_colour(pixels, SCORE_RGB)
-        assert has_colour(pixels, ROLLING_RGB)
-        assert has_colour(pixels, (255, 255, 255))
-        assert has_colour(pixels, (0, 0, 0))
+        _, image_path = emit_plot(score_log(scores), tmp_path / "scores.svg", window=20)
+        lines = read_svg(image_path)
+        assert list(lines) == [SCORE_RGB, ROLLING_RGB]
+        (score_width, score_points), (rolling_width, rolling_points) = lines.values()
+        assert (score_width, rolling_width) == (1.0, 2.0)
+        assert len(score_points) == len(rolling_points) == 150
+        assert (np.diff(score_points[:, 0]) > 0).all()
+        np.testing.assert_array_equal(score_points[:, 0], rolling_points[:, 0])
+        # y grows downwards: the best score is the highest point, the worst the lowest.
+        assert score_points[scores.argmax(), 1] == score_points[:, 1].min()
+        assert score_points[scores.argmin(), 1] == score_points[:, 1].max()
 
     @pytest.mark.parametrize("scores", [[0.7], [0.3] * 40, []], ids=["one_row", "flat", "empty"])
     def test_degenerate_logs(self, tmp_path, scores):
         with np.errstate(all="raise"):  # a NaN coordinate or a zero division raises here
-            _, image_path = emit_plot(score_log(scores), tmp_path / "scores.png")
-        pixels = read_png(image_path)
-        assert has_colour(pixels, ROLLING_RGB) == bool(scores)
+            _, image_path = emit_plot(score_log(scores), tmp_path / "scores.svg")
+        lines = read_svg(image_path)
+        assert list(lines) == ([SCORE_RGB, ROLLING_RGB] if scores else [])
+        for _, points in lines.values():
+            # One point per episode; a lone point is a zero-length segment, which round caps draw as a dot.
+            assert len(points) == max(len(scores), 2)
+            assert (points[:, 1] == points[0, 1]).all()
 
     def test_same_log_gives_identical_bytes(self, tmp_path):
         log = score_log(np.linspace(-0.2, 0.98, 60))
-        emit_plot(log, tmp_path / "a.png")
-        emit_plot(log, tmp_path / "b.png")
-        assert (tmp_path / "a.png").read_bytes() == (tmp_path / "b.png").read_bytes()
+        emit_plot(log, tmp_path / "a.svg")
+        emit_plot(log, tmp_path / "b.svg")
+        assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+        assert (tmp_path / "a.rolling.csv").read_bytes() == (tmp_path / "b.rolling.csv").read_bytes()
 
     def test_rejects_other_suffixes(self, tmp_path):
-        with pytest.raises(ValueError, match="scores.svg"):
-            emit_plot(score_log([0.5]), tmp_path / "scores.svg")
+        with pytest.raises(ValueError, match="scores.png"):
+            emit_plot(score_log([0.5]), tmp_path / "scores.png")
         assert list(tmp_path.iterdir()) == []
 
     def test_rejects_non_finite_scores(self, tmp_path):
         with pytest.raises(ValueError, match="non-finite"):
-            emit_plot(score_log([0.5, float("nan")]), tmp_path / "scores.png")
+            emit_plot(score_log([0.5, float("nan")]), tmp_path / "scores.svg")
 
 
 class Interrupted(Exception):
@@ -608,7 +619,7 @@ class TestCurriculum:
         assert list((tmp_path / "elsewhere").iterdir()) == []
         after = tree_bytes(tmp_path / "cur" / "env2")
         assert {name: after[name] for name in before} == before
-        assert set(after) - set(before) == {"scores.png", "scores.rolling.csv"}
+        assert set(after) - set(before) == {"scores.svg", "scores.rolling.csv"}
 
     def test_stages_are_the_papers_chain(self, tmp_path):
         """Stage k is the chain built by hand: environment k, epsilon-greedy on
@@ -852,24 +863,24 @@ class TestCli:
     def test_plot_command(self, tmp_path):
         run_single(tiny_config(tmp_path, episodes=5))
         code = main(
-            ["plot", "--log", str(tmp_path / "run" / "runlog.csv"), "--out", str(tmp_path / "scores.png")]
+            ["plot", "--log", str(tmp_path / "run" / "runlog.csv"), "--out", str(tmp_path / "scores.svg")]
         )
         assert code == 0
-        assert (tmp_path / "scores.png").exists()
+        assert [len(points) for _, points in read_svg(tmp_path / "scores.svg").values()] == [5, 5]
 
-    def test_plot_rejects_non_png_output(self, tmp_path, capsys):
+    def test_plot_rejects_non_svg_output(self, tmp_path, capsys):
         score_log([0.5, 0.9]).to_csv(tmp_path / "runlog.csv")
-        code = main(["plot", "--log", str(tmp_path / "runlog.csv"), "--out", str(tmp_path / "x.svg")])
+        code = main(["plot", "--log", str(tmp_path / "runlog.csv"), "--out", str(tmp_path / "x.png")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "x.svg" in err
+        assert err.startswith(f"error: {tmp_path / 'x.png'}: ")
         assert err.count("\n") == 1
-        assert not (tmp_path / "x.svg").exists()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["runlog.csv"]
 
     def test_plot_into_unwritable_directory_is_one_line_error(self, tmp_path, capsys):
         score_log([0.5, 0.9]).to_csv(tmp_path / "runlog.csv")
         (tmp_path / "blocker").write_text("a file, not a directory")
-        out = tmp_path / "blocker" / "scores.png"
+        out = tmp_path / "blocker" / "scores.svg"
         code = main(["plot", "--log", str(tmp_path / "runlog.csv"), "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
@@ -902,6 +913,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out / "env2" / "runlog.csv") in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: b"\xff" + text,                          # not UTF-8
+        lambda text: b"".join(text.splitlines(True)[:2]),     # the header and episode 1 only
+        lambda text: text.replace(b"\n3,", b"\n7,", 1),        # episode 3 numbered 7
+    ], ids=["not_utf8", "cut_short", "renumbered"])
+    def test_curriculum_over_a_damaged_stage_log_is_one_line_error(self, tmp_path, capsys, damage):
+        out = tmp_path / "cur"
+        assert main(["curriculum", "--seed", "1", "--episodes", "4", "--out", str(out)]) == 0
+        capsys.readouterr()
+        runlog = out / "env2" / "runlog.csv"
+        runlog.write_bytes(damage(runlog.read_bytes()))
+        before = tree_bytes(out)
+        assert main(["curriculum", "--seed", "1", "--episodes", "4", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {runlog}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert tree_bytes(out) == before
 
     def test_curriculum_continues_its_directory(self, tmp_path, capsys):
         """Rerun with the same settings, it prints every stage again and trains

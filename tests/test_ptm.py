@@ -56,7 +56,7 @@ def test_random_circuits_match_density_matrix_evolution(env_id):
             index = int(rng.integers(env.n_actions))
             result = env.step(index)
             action = env.actions[index]
-            mat = reference_channel(mat, action, noise.gate_p(action.kind), 2)
+            mat = reference_channel(mat, action, noise.gate_error.get(action.kind, 0.0), 2)
             worst = max(
                 worst,
                 np.abs(result.observation - reference_observation(mat, noise.meas_error, 2)).max(),

@@ -8,7 +8,7 @@ import pytest
 
 from qasrl.cli import main
 from qasrl.experiments import CSV_COLUMNS, ROLLING_RGB, SCORE_RGB, RunLog, emit_plot
-from test_experiments import has_colour, read_png, score_log
+from test_experiments import read_svg, score_log
 
 
 @pytest.mark.parametrize("row", ["1,0.5", "1,0.5,3,0.9,0,0.0,7"], ids=["short", "long"])
@@ -30,12 +30,23 @@ def test_from_csv_rejects_a_file_without_the_header(tmp_path, text):
 def test_plot_command_reports_bad_row_in_one_line(tmp_path, capsys):
     path = tmp_path / "runlog.csv"
     path.write_text(",".join(CSV_COLUMNS) + "\n1,0.5\n")
-    code = main(["plot", "--log", str(path), "--out", str(tmp_path / "scores.png")])
+    code = main(["plot", "--log", str(path), "--out", str(tmp_path / "scores.svg")])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{path} line 2" in err
     assert err.count("\n") == 1
-    assert not (tmp_path / "scores.png").exists()
+    assert not (tmp_path / "scores.svg").exists()
+
+
+def test_plot_command_names_a_log_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bin.csv"
+    path.write_bytes(b"\xff\xfe" + ",".join(CSV_COLUMNS).encode() + b"\n")
+    code = main(["plot", "--log", str(path), "--out", str(tmp_path / "scores.svg")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bin.csv"]
 
 
 @pytest.mark.parametrize("scores", [[1e308, -1e308], [-1.7976931348623157e308, 0.5, 1.7976931348623157e308]],
@@ -43,10 +54,10 @@ def test_plot_command_reports_bad_row_in_one_line(tmp_path, capsys):
 def test_plot_of_scores_spanning_the_float_range(tmp_path, scores):
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, image_path = emit_plot(score_log(scores), tmp_path / "scores.png")
-    pixels = read_png(image_path)
-    assert has_colour(pixels, SCORE_RGB)
-    assert has_colour(pixels, ROLLING_RGB)
+        _, image_path = emit_plot(score_log(scores), tmp_path / "scores.svg")
+    lines = read_svg(image_path)  # every point finite and inside the frame
+    assert list(lines) == [SCORE_RGB, ROLLING_RGB]
+    assert [len(points) for _, points in lines.values()] == [len(scores)] * 2
 
 
 @pytest.mark.parametrize("row, cell", [("1,abc,3,0.9,0,0", "'abc'"), ("1,0.5,2.5,0.9,0,0", "'2.5'")],
@@ -72,7 +83,7 @@ def test_window_below_one_is_rejected(tmp_path, window):
         with pytest.raises(ValueError, match=f"window must be at least 1, got {window}"):
             log.rolling_mean(window)
         with pytest.raises(ValueError, match="window"):
-            emit_plot(log, tmp_path / "plot.png", window=window)
+            emit_plot(log, tmp_path / "plot.svg", window=window)
     assert list(tmp_path.iterdir()) == []
 
 
