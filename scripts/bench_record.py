@@ -17,8 +17,9 @@ seed runs the same command with --trace 1 once per side, and tier-1
 (pytest) runs once per checkout, recording the seconds its acceptance
 fixture's setup took.  Everything runs one process at a time, and the
 record is rewritten after every run, so an interrupted recording keeps
-what it measured.  A checkout whose src/ or perfbench/ holds cached
-bytecode is refused before anything runs, and every run gets
+what it measured.  A workload BENCHMARK.json does not define, one named
+twice in --pairs, and a checkout whose src/ or perfbench/ holds cached
+bytecode are refused before anything runs, and every run gets
 PYTHONDONTWRITEBYTECODE=1, so that none is written while it records.
 """
 
@@ -164,6 +165,19 @@ def checkout(d: Path) -> dict:
     return {"commit": head.strip(), "uncommitted_changes": bool(status)}
 
 
+def workloads_error(bench: dict, pairs: list[tuple[str, list[int]]], trace: list[tuple[str, list[int]]]) -> str | None:
+    """Why --pairs and --trace cannot run as given, or None when they can: each workload they name
+    must be one of BENCHMARK.json's, and --pairs must name each once, since a second list would replace the first."""
+    defined = [w["name"] for w in bench["workloads"]]
+    for flag, specs in (("--pairs", pairs), ("--trace", trace)):
+        if unknown := next((name for name, _ in specs if name not in defined), None):
+            return f"{flag}: {unknown!r} is not a workload of BENCHMARK.json ({', '.join(defined)})"
+    named = [name for name, _ in pairs]
+    if twice := next((name for name in named if named.count(name) > 1), None):
+        return f"--pairs: workload {twice!r} is named twice; give all its seeds in one list"
+    return None
+
+
 def claim_error(claim: str, bench: dict, pairs: list[tuple[str, list[int]]]) -> str | None:
     """Why the summaries could not judge ``workload:metric``, or None when they can: the workload
     must be one of BENCHMARK.json's and have --pairs, and the metric one of its end-to-end metrics."""
@@ -196,6 +210,8 @@ def main() -> None:
     args = parser.parse_args()
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
+    if error := workloads_error(bench, args.pairs, args.trace):
+        parser.error(error)
     if args.claim and (error := claim_error(args.claim, bench, args.pairs)):
         parser.error(error)
     for cached in filter(None, map(bytecode_dir, dirs.values())):

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import AdamState, QNetwork, Workspace, adam_step, clone_parameters, mse_loss_and_grad
+from .network import AdamState, QNetwork, Workspace, adam_step, clone_parameters, is_layer_size, mse_loss_and_grad
 
 
 class Batch(NamedTuple):
@@ -85,22 +85,25 @@ class ReplayMemory:
         if k > len(self):
             raise ValueError(f"cannot sample {k} from {len(self)} transitions")
         idx = rng.choice(len(self), size=k, replace=False)
-        columns = (self.states, self.actions, self.rewards, self.next_ids)
+        states, actions, rewards, next_ids = (None,) * 4 if out is None else out
         # idx is in range, so take need not buffer its output against an index error.
-        return Batch(*(column.take(idx, 0, buffer, "clip") for column, buffer in zip(columns, out or [None] * 4)))
+        return Batch(self.states.take(idx, 0, states, "clip"), self.actions.take(idx, 0, actions, "clip"),
+                     self.rewards.take(idx, 0, rewards, "clip"), self.next_ids.take(idx, 0, next_ids, "clip"))
 
     def next_values(self, net: QNetwork, workspace: Workspace) -> np.ndarray:
         """``values``, each id's max-Q under ``net``, after computing those from id ``valued`` on
         (set to 0 when ``net`` changes) in products of all the workspace's rows, a short chunk padded
         with the ids before it or id 0: on some BLAS kernels a row's bits depend on the row count."""
-        stop, rows = len(self.ids), len(workspace.out)
+        stop, rows, observations, values = len(self.ids), len(workspace.out), self.observations, self.values
         for start in range(self.valued, stop, rows):
             end = min(start + rows, stop)
-            ids = np.maximum(np.arange(end - rows, end), 0)
-            q = net.forward(self.observations[ids], workspace)
-            self.values[ids] = np.maximum.reduce(q, axis=1)
+            if stop < rows:  # a table shorter than the workspace: its one chunk is padded with id 0
+                ids = np.maximum(np.arange(end - rows, end), 0)
+                values[ids] = np.maximum.reduce(net.forward(observations[ids], workspace), axis=1)
+            else:  # ids end - rows .. end - 1: read and written through views
+                np.maximum.reduce(net.forward(observations[end - rows:end], workspace), 1, out=values[end - rows:end])
         self.valued = stop
-        return self.values
+        return values
 
 
 @dataclass
@@ -132,8 +135,8 @@ class DQNConfig:
             raise ValueError(f"gamma out of [0, 1): {self.gamma}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if any(size < 1 for size in self.hidden_sizes):
-            raise ValueError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
+        if not all(map(is_layer_size, self.hidden_sizes)):
+            raise ValueError(f"hidden_sizes must be positive integers, got {self.hidden_sizes}")
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} out of [0, 1): {getattr(self, name)}")
@@ -157,15 +160,15 @@ def optimize(agent: "DQNAgent") -> float | None:
     only when the batch reads a next state that has none yet.  Every stage
     but Adam's runs in the agent's own buffers.
     """
-    config, memory, workspace = agent.config, agent.memory, agent.workspace
-    if len(memory) < max(config.batch_size, config.min_replay):
+    memory, workspace, targets = agent.memory, agent.workspace, agent.targets
+    if len(memory) < agent.min_held:
         return None
-    batch = memory.sample(config.batch_size, agent.rng, agent.batch)
+    batch = memory.sample(len(targets), agent.rng, agent.batch)
     ids, valued = batch.next_ids, memory.valued
     # Ids from valued up to the table's length have no value yet; the terminal id, capacity, is above them all.
     if valued < len(memory.ids) and np.count_nonzero(ids >= valued) > np.count_nonzero(ids == memory.capacity):
         memory.next_values(agent.target_net, workspace)
-    targets = compute_targets(batch, memory.values, config.gamma, agent.targets)
+    compute_targets(batch, memory.values, agent.gamma, targets)
     loss, grad = mse_loss_and_grad(agent.policy_net, batch.states, batch.actions, targets, workspace)
     if not math.isfinite(loss):
         raise FloatingPointError(f"TD loss is {loss}")
@@ -215,6 +218,8 @@ class DQNAgent:
                                           beta1=config.adam_beta1, beta2=config.adam_beta2)
         self.batch, self.targets = Batch.empty(config.batch_size, obs_dim), np.empty(config.batch_size)
         self.workspace = Workspace(self.policy_net, config.batch_size)
+        # What optimize reads of the config, read once: the replay length learning starts at, and gamma.
+        self.min_held, self.gamma = max(config.batch_size, config.min_replay), config.gamma
 
     def learn(self) -> float | None:
         return optimize(self)

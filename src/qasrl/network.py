@@ -6,6 +6,7 @@ actually taken in each sampled transition.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,13 +14,20 @@ import numpy as np
 
 SNAPSHOT_FORMAT_VERSION = 1
 _ZERO = np.broadcast_to(0.0, ())  # the ReLU's bound: a read-only 0-d float64 array, which a ufunc takes as it is
+_TWO = np.broadcast_to(2.0, ())   # a squared error's derivative factor, likewise
+
+
+def is_layer_size(size) -> bool:
+    """A positive int or numpy integer; a float, even a whole one, and True and False are not sizes."""
+    return isinstance(size, numbers.Integral) and not isinstance(size, bool) and size >= 1
 
 
 def _checked_layer_sizes(layer_sizes) -> tuple[list[int], int]:
-    """Two or more positive layer sizes as ints, and the parameter count of a network of them."""
-    sizes = [int(s) for s in layer_sizes]
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
+    """Two or more layer sizes as ints, each one ``is_layer_size`` takes, and the parameter count of a network of them."""
+    sizes = list(layer_sizes)
+    if len(sizes) < 2 or not all(map(is_layer_size, sizes)):
         raise ValueError(f"bad layer sizes {layer_sizes}")
+    sizes = [int(s) for s in sizes]
     return sizes, sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
 
 
@@ -123,6 +131,11 @@ class Workspace:
         self.err, self.err_sq = np.empty(rows), np.empty(rows)
         self.grad = np.empty_like(net.params)
         self.grad_weights, self.grad_biases = net.layer_views(self.grad)
+        self.rows = np.broadcast_to(float(rows), ())  # the mean's divisor, read-only 0-d as _TWO is
+        # The operands of backprop above the first layer, last layer first: its input activations and
+        # their transpose, its gradient views, and the delta buffer and ReLU mask of the layer below.
+        self.backward = list(zip(self.layers[-2::-1], [h.T for h in self.layers[-2::-1]], self.grad_weights[:0:-1],
+                                 self.grad_biases[:0:-1], self.deltas[-2::-1], self.masks[::-1]))
 
 
 def mse_loss_and_grad(net: QNetwork, inputs: np.ndarray, actions: np.ndarray, targets: np.ndarray,
@@ -140,13 +153,14 @@ def mse_loss_and_grad(net: QNetwork, inputs: np.ndarray, actions: np.ndarray, ta
         raise ValueError(f"inputs must be a 2-D batch, got shape {x.shape}")
     acts_idx = np.asarray(actions, dtype=int)
     tgt = np.asarray(targets, dtype=float)
-    batch = x.shape[0]
+    batch = len(x)
     if batch == 0:
         raise ValueError("empty batch")
     if acts_idx.shape != (batch,) or tgt.shape != (batch,):
         raise ValueError("inputs, actions and targets must share the batch dimension")
-    if np.minimum.reduce(acts_idx) < 0 or np.maximum.reduce(acts_idx) >= net.output_dim:
-        raise ValueError("action index out of range")
+    # Viewed unsigned, a negative action lies above every output index, so one reduction checks both ends.
+    if np.maximum.reduce(acts_idx.view(np.uintp)) >= net.layer_sizes[-1]:
+        raise ValueError(f"actions must lie in [0, {net.output_dim}), got {acts_idx.min()} to {acts_idx.max()}")
     ws = Workspace(net, batch) if workspace is None else workspace
     out = net.forward(x, ws)  # refuses a workspace that does not fit, before anything is written
 
@@ -158,19 +172,19 @@ def mse_loss_and_grad(net: QNetwork, inputs: np.ndarray, actions: np.ndarray, ta
     err_sq = np.multiply(err, err, out=ws.err_sq)
     loss = float(np.add.reduce(err_sq)) / batch  # np.mean's sum, then divide
 
-    err *= 2.0
-    err /= batch
+    np.multiply(err, _TWO, out=err)
+    np.divide(err, ws.rows, out=err)
     delta = ws.deltas[-1]
     delta.fill(0.0)
     delta.put(taken, err, "clip")
-    for layer in range(len(net.weights) - 1, -1, -1):
-        h = ws.layers[layer - 1] if layer else x  # the layer's input, as forward left it
-        np.matmul(h.T, delta, out=ws.grad_weights[layer])
-        np.add.reduce(delta, axis=0, out=ws.grad_biases[layer])
-        if layer > 0:
-            delta = np.matmul(delta, net.weights[layer].T, out=ws.deltas[layer - 1])
-            # The ReLU mask from the activation: relu(z) > 0 exactly where z > 0, zeros and NaN included.
-            delta *= np.greater(h, 0.0, out=ws.masks[layer - 1])
+    for (h, h_t, grad_w, grad_b, below, mask), w in zip(ws.backward, net.weights[:0:-1]):
+        np.matmul(h_t, delta, out=grad_w)  # h is the layer's input, as forward left it
+        np.add.reduce(delta, 0, out=grad_b)
+        delta = np.matmul(delta, w.T, out=below)
+        # The ReLU mask from the activation: relu(z) > 0 exactly where z > 0, zeros and NaN included.
+        delta *= np.greater(h, _ZERO, out=mask)
+    np.matmul(x.T, delta, out=ws.grad_weights[0])
+    np.add.reduce(delta, 0, out=ws.grad_biases[0])
     return loss, ws.grad
 
 

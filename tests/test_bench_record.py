@@ -1,7 +1,7 @@
 """scripts/bench_record.py: its seed specs, the pair rule that decides
 whether a claimed gain is met, the no-regression rule, the acceptance
 fixture's setup time read from tier-1, the machine's reference speed, the
-claims and the checkouts holding bytecode it refuses, the environment of its
+claims, workloads and checkouts holding bytecode it refuses, the environment of its
 runs, and the BLAS kernel, bytecode setting and code of each side a record names."""
 
 import importlib.util
@@ -227,9 +227,35 @@ def test_a_claim_the_record_cannot_judge_is_one_argparse_error(tmp_path, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("specs, reason", [
+    (["--pairs", "scratch=1-2", "curiculum=3-4"], "--pairs: 'curiculum' is not a workload of BENCHMARK.json"),
+    (["--pairs", "scratch=1-2", "--trace", "rolout=5"], "--trace: 'rolout' is not a workload of BENCHMARK.json"),
+    (["--pairs", "scratch=1-2", "rollout=3", "scratch=4-5"],
+     "--pairs: workload 'scratch' is named twice; give all its seeds in one list"),
+], ids=["pairs_typo", "trace_typo", "pairs_twice"])
+def test_a_workload_the_record_cannot_run_as_given_is_one_argparse_error(tmp_path, monkeypatch, capsys, specs, reason):
+    """Refused before tier-1 or any perfbench run starts."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("nothing may run")
+
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(bench_record, "run", no_run)
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--parent", str(tmp_path), "--change", str(SCRIPT.parents[1]),
+                                      "--out", str(out), "--note", "n", *specs])
+    with pytest.raises(SystemExit) as exit_info:
+        bench_record.main()
+    assert exit_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    defined = "" if "twice" in reason else f" ({', '.join(w['name'] for w in BENCHMARK['workloads'])})"
+    assert errors == [f"bench_record.py: error: {reason}{defined}"]
+    assert not out.exists()
+
+
 def test_a_claim_on_a_paired_end_to_end_metric_is_accepted():
     pairs = [bench_record.seeds("curriculum=1-10")]
     assert bench_record.claim_error("curriculum:peak_rss_mb", BENCHMARK, pairs) is None
+    assert bench_record.workloads_error(BENCHMARK, pairs, [bench_record.seeds("curriculum=11"),
+                                                           bench_record.seeds("curriculum=12")]) is None
 
 
 @pytest.mark.parametrize("side, sub", [("parent", "src/qasrl"), ("change", "perfbench")])

@@ -469,6 +469,32 @@ class TestTargetValues:
         assert len(forwards) == 1 and memory.values[:valued].tobytes() == values[:valued].tobytes()
         assert memory.valued == len(memory.ids)
 
+    @pytest.mark.parametrize("length", [1, 63, 64, 65, 130])
+    def test_slices_give_the_bits_of_the_gather(self, length):
+        """A table of ``length`` ids valued from id 0, then, under other
+        parameters, from a nonzero ``valued``: every value has the bits the
+        gather of each chunk's ids (clipped at id 0) and scatter of its maxima
+        give, as next_values made them before it read whole chunks as slices."""
+        def gathered(memory: ReplayMemory, net: QNetwork, workspace: Workspace) -> np.ndarray:
+            values, stop, rows = memory.values.copy(), len(memory.ids), len(workspace.out)
+            for start in range(memory.valued, stop, rows):
+                end = min(start + rows, stop)
+                ids = np.maximum(np.arange(end - rows, end), 0)
+                values[ids] = np.maximum.reduce(net.forward(memory.observations[ids], workspace), axis=1)
+            return values
+
+        rng = np.random.default_rng(99)
+        net, memory = random_net(rng), ReplayMemory(200, 6)
+        for _ in range(length):
+            memory.push(np.zeros(6), 0, 0.0, rng.uniform(-1, 1, 6))
+        workspace = Workspace(net, 64)
+        for valued in (0, length // 2 or 1, length - 1):
+            memory.valued = valued
+            expected = gathered(memory, net, workspace)
+            assert memory.next_values(net, workspace).tobytes() == expected.tobytes()
+            assert memory.valued == length
+            net.params[:] += 0.01 * rng.normal(size=net.params.size)  # the next restart values anew
+
     def test_table_stays_within_the_ring_capacity(self):
         """A ring of 4 sees 60 distinct next states in episodes of 1 to 5
         steps; the table rebuilds from the next states still held, and
@@ -598,6 +624,9 @@ class TestConfigValidation:
         (dict(adam_beta2=float("nan")), "adam_beta2"),
         (dict(hidden_sizes=(64, 0)), "hidden_sizes"),
         (dict(hidden_sizes=(-1, 64)), "hidden_sizes"),
+        (dict(hidden_sizes=(64.7, 64)), "hidden_sizes"),
+        (dict(hidden_sizes=(64, 64.0)), "hidden_sizes"),
+        (dict(hidden_sizes=(True, 64)), "hidden_sizes"),
     ])
     def test_rejects_with_the_field_name(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -608,6 +637,7 @@ class TestConfigValidation:
         dict(batch_size=1, replay_capacity=1),
         dict(adam_beta1=0.0, adam_beta2=0.0),
         dict(hidden_sizes=(1, 1)),
+        dict(hidden_sizes=(np.int64(3), np.int32(2))),
     ])
     def test_accepts_the_closed_ends(self, kwargs):
         DQNConfig(**kwargs)

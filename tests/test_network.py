@@ -88,6 +88,12 @@ class TestForward:
         for b in net.biases:
             np.testing.assert_array_equal(b, np.zeros_like(b))
 
+    def test_numpy_integer_sizes_are_taken_as_ints(self, tmp_path):
+        net = QNetwork([np.int64(6), np.int32(4), np.uint8(12)])
+        assert net.layer_sizes == [6, 4, 12] and all(type(s) is int for s in net.layer_sizes)
+        save_policy(net, tmp_path / "p.qnet")
+        assert load_policy(tmp_path / "p.qnet").layer_sizes == [6, 4, 12]
+
     def test_init_is_seed_deterministic(self):
         a = QNetwork([6, 16, 12], rng=np.random.default_rng(42))
         b = QNetwork([6, 16, 12], rng=np.random.default_rng(42))
@@ -99,6 +105,9 @@ class TestForward:
             QNetwork([6])
         with pytest.raises(ValueError):
             QNetwork([6, 0, 12])
+        for sizes in ([6, 64.7, 12], [6, 64.0, 12], [6, True, 12], [6, np.bool_(True), 12], ["6", 12]):
+            with pytest.raises(ValueError, match="bad layer sizes"):
+                QNetwork(sizes)
         # ReLU is the only activation; a snapshot naming another is refused.
         path = tmp_path / "tanh.qnet"
         path.write_bytes(b'{"format_version": 1, "layer_sizes": [6, 12], "activation": "tanh"}\n' + bytes(8 * 84))
@@ -180,6 +189,26 @@ class TestLossAndGradient:
             mse_loss_and_grad(net, np.ones((1, 6)), np.array([12]), np.array([1.0]))
         with pytest.raises(ValueError, match="empty batch"):
             mse_loss_and_grad(net, np.ones((0, 6)), np.array([], dtype=int), np.array([]))
+
+    @pytest.mark.parametrize("action", [-1, 12, -2**63, 2**62], ids=["minus_one", "n_actions", "min_int", "huge"])
+    @pytest.mark.parametrize("own_workspace", [True, False], ids=["callers_workspace", "no_workspace"])
+    def test_an_out_of_range_action_is_one_line_naming_actions(self, action, own_workspace):
+        """One reduction of the actions viewed unsigned checks both ends; a
+        refused call writes nothing into the caller's workspace, and the
+        first and last actions pass."""
+        rng = np.random.default_rng(12)
+        net = QNetwork([6, 16, 12], rng=rng)
+        workspace = Workspace(net, 3) if own_workspace else None
+        x, targets = rng.normal(size=(3, 6)), rng.normal(size=3)
+        if workspace:
+            workspace.out[:], workspace.grad[:] = 7.0, 7.0
+        with pytest.raises(ValueError) as refused:
+            mse_loss_and_grad(net, x, np.array([0, action, 11]), targets, workspace)
+        assert str(refused.value) == f"actions must lie in [0, 12), got {min(0, action)} to {max(11, action)}"
+        if workspace:
+            assert (workspace.out == 7.0).all() and (workspace.grad == 7.0).all()
+        loss, _ = mse_loss_and_grad(net, x, np.array([0, 5, 11]), targets, workspace)
+        assert np.isfinite(loss)
 
     @pytest.mark.parametrize("inputs", [np.ones(6), np.float64(1.0)], ids=["1-D", "0-D"])
     def test_only_a_2d_batch_is_taken(self, inputs):
@@ -426,8 +455,12 @@ class TestFlatParameters:
     b'{"format_version": 1, "layer_sizes": [6, 1e400, 12], "activation": "relu"}\n',
     b'{"format_version": 1, "layer_sizes": [2, 3], "activation": "relu"}\n'
     + np.array([0.5] * 8 + [np.nan]).astype("<f8").tobytes(),
+    # Bodies the size of [6, 4, 12] and [6, 1, 12], which int() would have made of these sizes.
+    b'{"format_version": 1, "layer_sizes": [6.5, 4, 12], "activation": "relu"}\n' + bytes(8 * 88),
+    b'{"format_version": 1, "layer_sizes": [6, true, 12], "activation": "relu"}\n' + bytes(8 * 31),
 ], ids=["no_layer_sizes", "no_activation", "bad_layer_sizes", "not_an_object", "bad_json",
-        "no_newline", "partial_parameter", "oversize_header", "infinite_layer_size", "nan_parameter"])
+        "no_newline", "partial_parameter", "oversize_header", "infinite_layer_size", "nan_parameter",
+        "fractional_layer_size", "boolean_layer_size"])
 def test_malformed_snapshot_is_a_value_error_naming_the_file(tmp_path, content):
     path = tmp_path / "broken.qnet"
     path.write_bytes(content)
