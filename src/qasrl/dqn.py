@@ -208,7 +208,6 @@ class DQNAgent:
     """
 
     def __init__(self, obs_dim: int, n_actions: int, config: DQNConfig, rng: np.random.Generator):
-        self.config = config
         self.rng = rng
         sizes = [obs_dim, *config.hidden_sizes, n_actions]
         self.policy_net = QNetwork(sizes, rng=rng)

@@ -31,15 +31,10 @@ ENVIRONMENT_NOISE: dict[int, dict[GateKind, float]] = {
     5: {GateKind.PAULI_X: 0.01, GateKind.HADAMARD: 0.01, GateKind.CNOT: 0.005},
 }
 
-MEAS_ERROR = 0.01
-
 
 def build_environment(env_id: int) -> EnvConfig:
-    """EnvConfig for one of the numbered noise settings, with readout error
-    MEAS_ERROR; everything else is EnvConfig's own, the Bell target included."""
-    if env_id not in ENVIRONMENT_NOISE:
-        raise ValueError(f"unknown environment id {env_id}; choose 0..{len(ENVIRONMENT_NOISE) - 1}")
-    return EnvConfig(noise=NoiseSpec(gate_error=dict(ENVIRONMENT_NOISE[env_id]), meas_error=MEAS_ERROR))
+    """EnvConfig for one of the numbered noise settings: ``ExperimentConfig``'s default for ``env_id``."""
+    return ExperimentConfig(env_id=env_id).env_config()
 
 
 @dataclass
@@ -63,7 +58,7 @@ class ExperimentConfig:
     fidelity_threshold: float = EnvConfig.fidelity_threshold
     max_steps: int = EnvConfig.max_steps
     step_penalty: float = EnvConfig.step_penalty
-    meas_error: float = MEAS_ERROR
+    meas_error: float = 0.01
     error_rot_pi4: float | None = None
     error_x: float | None = None
     error_y: float | None = None
@@ -154,12 +149,13 @@ class ExperimentConfig:
                                               for name in cls._PATHS if (value := vars(config)[name])})
 
     def env_config(self) -> EnvConfig:
-        """The numbered environment with this config's environment fields laid
-        over it, and its ``error_*`` overrides over its noise table."""
-        env = build_environment(self.env_id)
+        """The numbered environment's noise table row with this config's
+        ``error_*`` overrides over it, its ``meas_error`` and environment fields."""
+        if self.env_id not in ENVIRONMENT_NOISE:
+            raise ValueError(f"unknown environment id {self.env_id}; choose 0..{len(ENVIRONMENT_NOISE) - 1}")
         overrides = {kind: p for kind in GateKind if (p := getattr(self, f"error_{kind.value}")) is not None}
-        noise = NoiseSpec({**env.noise.gate_error, **overrides}, self.meas_error)
-        return dataclasses.replace(env, noise=noise, **self._shared_with(EnvConfig))
+        noise = NoiseSpec({**ENVIRONMENT_NOISE[self.env_id], **overrides}, self.meas_error)
+        return EnvConfig(noise=noise, **self._shared_with(EnvConfig))
 
     def ppr_config(self) -> PPRConfig:
         dqn = DQNConfig(hidden_sizes=(self.hidden1, self.hidden2), **self._shared_with(DQNConfig))

@@ -5,6 +5,7 @@ plain numpy.  The loss only flows through the output unit of the action
 actually taken in each sampled transition.
 """
 
+import itertools
 import json
 import numbers
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ import numpy as np
 SNAPSHOT_FORMAT_VERSION = 1
 _ZERO = np.broadcast_to(0.0, ())  # the ReLU's bound: a read-only 0-d float64 array, which a ufunc takes as it is
 _TWO = np.broadcast_to(2.0, ())   # a squared error's derivative factor, likewise
+_NEW_ARRAYS = itertools.repeat(None)  # forward's buffer for every layer without a workspace: none, so dot allocates
 
 
 def is_layer_size(size) -> bool:
@@ -78,33 +80,26 @@ class QNetwork:
         return self.layer_sizes[-1]
 
     def forward(self, inputs: np.ndarray, workspace: "Workspace | None" = None) -> np.ndarray:
-        """Q-values for one observation (1-D) or a batch (2-D).  One
-        observation runs as vector products, whose bits equal a 1-row
-        batch's.  With a workspace, which must be made for this network
-        and the batch's row count, each layer of a batch writes into its
-        buffer and the result is ``workspace.out``; otherwise into new
-        arrays."""
+        """Q-values for one observation (1-D) or a batch (2-D), each layer one
+        ``dot``; one observation's bits equal a 1-row batch's.  With a
+        workspace, which takes only a batch and must be made for this network
+        and the batch's row count, each layer writes into its buffer and the
+        result is ``workspace.out``; otherwise into new arrays."""
         x = np.asarray(inputs, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.layer_sizes[0]:
             raise ValueError(f"input shape {x.shape} does not match network input {self.layer_sizes[0]}")
-        h = x
-        if x.ndim == 1:
-            for w, b in zip(self.weights, self.biases):
-                if h is not x:  # ReLU on each hidden layer
-                    np.maximum(h, _ZERO, out=h)
-                h = h.dot(w)
-                h += b
-            return h
-        outs = [None] * len(self.weights)
+        outs = _NEW_ARRAYS
         if workspace is not None:
-            if len(x) != len(workspace.out) or workspace.layer_sizes != self.layer_sizes:
+            if x.ndim == 1 or len(x) != len(workspace.out) or workspace.layer_sizes != self.layer_sizes:
+                given = f"a 1-D observation of shape {x.shape}" if x.ndim == 1 else f"a batch of {len(x)} rows"
                 raise ValueError(f"a workspace of {len(workspace.out)} rows for layer sizes {workspace.layer_sizes} "
-                                 f"does not fit a batch of {len(x)} rows for layer sizes {self.layer_sizes}")
+                                 f"does not fit {given} for layer sizes {self.layer_sizes}")
             outs = workspace.layers
-        for w, b, buffer in zip(self.weights, self.biases, outs):
-            if h is not x:
+        h = x
+        for w, b, out in zip(self.weights, self.biases, outs):
+            if h is not x:  # ReLU on each hidden layer
                 np.maximum(h, _ZERO, out=h)
-            h = np.matmul(h, w, out=buffer)
+            h = h.dot(w, out)
             h += b
         return h
 
@@ -178,12 +173,12 @@ def mse_loss_and_grad(net: QNetwork, inputs: np.ndarray, actions: np.ndarray, ta
     delta.fill(0.0)
     delta.put(taken, err, "clip")
     for (h, h_t, grad_w, grad_b, below, mask), w in zip(ws.backward, net.weights[:0:-1]):
-        np.matmul(h_t, delta, out=grad_w)  # h is the layer's input, as forward left it
+        np.dot(h_t, delta, grad_w)  # h is the layer's input, as forward left it
         np.add.reduce(delta, 0, out=grad_b)
-        delta = np.matmul(delta, w.T, out=below)
+        delta = np.dot(delta, w.T, below)
         # The ReLU mask from the activation: relu(z) > 0 exactly where z > 0, zeros and NaN included.
         delta *= np.greater(h, _ZERO, out=mask)
-    np.matmul(x.T, delta, out=ws.grad_weights[0])
+    np.dot(x.T, delta, ws.grad_weights[0])
     np.add.reduce(delta, 0, out=ws.grad_biases[0])
     return loss, ws.grad
 

@@ -15,7 +15,8 @@ one it cannot name included, is held to the first.
 Sandybridge kernel and checks what holds on any kernel: the episode
 count, finite scores, and a saved policy that solves env 3.
 ``test_learner_bits_under_haswell`` reruns the learner's bit-for-bit tests
-under the Haswell kernel, where a row's bits depend on a product's row count.
+under the Haswell kernel, where a row's bits depend on a product's row count,
+and ``test_learner_bits_under_sandybridge`` under the Sandybridge kernel.
 """
 
 import copy
@@ -87,21 +88,34 @@ def test_from_scratch_run_without_fma(tmp_path):
     assert step.fidelity >= circuit.config.fidelity_threshold
 
 
-def test_learner_bits_under_haswell():
+def run_learner_bit_tests(kernel: str) -> None:
     """The target-value and agent tests of test_dqn.py and the bit-for-bit
-    tests of test_network.py in a process on OpenBLAS's Haswell kernel,
-    which it also runs on Zen, with one BLAS thread.  There the last row of
-    a product with an odd row count of 3 or more gets other bits than in a
-    full product, so these pass only if every target value comes from a
-    product of the workspace's rows."""
+    tests of test_network.py in a process on OpenBLAS's ``kernel``, with one
+    BLAS thread; each compares the learner's products with plain ``@``
+    formulas at batch sizes 1, 63, 64 and random."""
     if bench_record.blas_core() == "unknown":
         pytest.skip("this numpy's BLAS does not name its kernel")
     tests = Path(__file__).parent
     for path, selection in (("test_dqn.py", "TestTargetValues or TestAgent"),
                             ("test_network.py", "TestBitIdenticalToPlainFormulas")):
         proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", path, "-k", selection],
-                              cwd=tests, env=blas_kernel_environment("Haswell"), capture_output=True, text=True)
+                              cwd=tests, env=blas_kernel_environment(kernel), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_learner_bits_under_haswell():
+    """run_learner_bit_tests on the Haswell kernel, which OpenBLAS also runs
+    on Zen.  There the last row of a product with an odd row count of 3 or
+    more gets other bits than in a full product, so these pass only if every
+    target value comes from a product of the workspace's rows."""
+    run_learner_bit_tests("Haswell")
+
+
+def test_learner_bits_under_sandybridge():
+    """run_learner_bit_tests on the Sandybridge kernel, which has no fused
+    multiply-add: every product shape of ``forward`` and the backward pass
+    must give the bits of ``@`` there too, not only on the FMA kernels."""
+    run_learner_bit_tests("Sandybridge")
 
 
 def test_ppr_stage_with_one_policy_library(tmp_path):

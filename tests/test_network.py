@@ -78,6 +78,20 @@ class TestForward:
         with pytest.raises(ValueError, match=re.escape(f"input shape {np.shape(inputs)} does not match")):
             net.forward(inputs)
 
+    @pytest.mark.parametrize("rows", [1, 64])
+    def test_a_workspace_with_one_observation_is_refused(self, rows):
+        """A workspace takes only a batch: one observation with one is
+        refused with one error naming both, and nothing is written."""
+        net = QNetwork([6, 16, 12], rng=np.random.default_rng(82))
+        workspace = Workspace(net, rows)
+        for buffer in workspace.layers:
+            buffer[:] = 7.0
+        with pytest.raises(ValueError) as refused:
+            net.forward(np.ones(6), workspace)
+        assert str(refused.value) == (f"a workspace of {rows} rows for layer sizes [6, 16, 12] does not fit "
+                                      f"a 1-D observation of shape (6,) for layer sizes [6, 16, 12]")
+        assert all((buffer == 7.0).all() for buffer in workspace.layers)
+
     def test_init_bounds_and_zero_biases(self):
         rng = np.random.default_rng(8)
         net = QNetwork([6, 64, 12], rng=rng)
