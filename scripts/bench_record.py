@@ -18,8 +18,9 @@ seed runs the same command with --trace 1 once per side, and tier-1
 fixture's setup took.  Everything runs one process at a time, and the
 record is rewritten after every run, so an interrupted recording keeps
 what it measured.  A workload BENCHMARK.json does not define, one named
-twice in --pairs, and a checkout whose src/ or perfbench/ holds cached
-bytecode are refused before anything runs, and every run gets
+twice in --pairs, a --claim on a workload with fewer than 10 --pairs
+seeds, and a checkout whose src/ or perfbench/ holds cached bytecode are
+refused before anything runs, and every run gets
 PYTHONDONTWRITEBYTECODE=1, so that none is written while it records.
 """
 
@@ -42,6 +43,8 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
          "--durations=5"]
 # pytest's --durations line for the acceptance suite's setup, which trains its module fixture.
 ACCEPTANCE_SETUP = re.compile(r"^([0-9.]+)s setup\s+\S*tests/test_acceptance\.py::")
+# The fewest pairs a claim is judged on: with fewer, "better in 9 of 10 pairs" rests on too few runs.
+CLAIM_PAIRS = 10
 # The line of a perfbench run that gives the median speed of reference.py around its rounds.
 REFERENCE_SPEED = re.compile(r" at a median reference speed of ([0-9.eE+-]+)$")
 
@@ -180,15 +183,19 @@ def workloads_error(bench: dict, pairs: list[tuple[str, list[int]]], trace: list
 
 def claim_error(claim: str, bench: dict, pairs: list[tuple[str, list[int]]]) -> str | None:
     """Why the summaries could not judge ``workload:metric``, or None when they can: the workload
-    must be one of BENCHMARK.json's and have --pairs, and the metric one of its end-to-end metrics."""
+    must be one of BENCHMARK.json's and have at least CLAIM_PAIRS --pairs seeds, and the metric one
+    of its end-to-end metrics."""
     workload, _, metric = claim.partition(":")
     if workload not in {w["name"] for w in bench["workloads"]}:
         return f"--claim {claim}: {workload!r} is not a workload of BENCHMARK.json"
-    if workload not in {name for name, _ in pairs}:
+    if workload not in (paired := dict(pairs)):
         return f"--claim {claim}: workload {workload!r} has no --pairs"
     names = [m["name"] for m in bench["end_to_end"]]
     if metric not in names:
         return f"--claim {claim}: {metric!r} is not an end-to-end metric ({', '.join(names)})"
+    if len(paired[workload]) < CLAIM_PAIRS:
+        return (f"--claim {claim}: workload {workload!r} has {len(paired[workload])} --pairs seeds; "
+                f"a claim needs at least {CLAIM_PAIRS}")
     return None
 
 

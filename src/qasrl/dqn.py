@@ -36,10 +36,10 @@ class ReplayMemory:
     that finds every row taken first rebuilds the table from the ring's,
     counted in ``rebuilds``, after which every value is computed anew."""
 
-    def __init__(self, capacity: int, width: int):
+    def __init__(self, capacity: int, width: int, n_actions: int):
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity, self.width = capacity, width
+        self.capacity, self.width, self.n_actions = capacity, width, n_actions
         self.states, self.actions, self.rewards, self.next_ids = Batch.empty(capacity, width)
         self.observations = np.empty((capacity, width))
         self.ids: dict[bytes, int] = {}
@@ -51,10 +51,13 @@ class ReplayMemory:
         return min(self._pushes, self.capacity)
 
     def push(self, state: np.ndarray, action: int, reward: float, next_state: np.ndarray | None) -> None:
-        """Store one step, ``next_state`` None if it ended the episode; a row of the wrong shape changes nothing."""
+        """Store one step, ``next_state`` None if it ended the episode; a bad row or action changes nothing."""
         for name, row in (("state", state), ("next state", next_state)):
-            if row is not None and np.shape(row) != (self.width,):
+            # .shape where the row is an array: np.shape costs about 0.3 us more a call
+            if row is not None and (row.shape if type(row) is np.ndarray else np.shape(row)) != (self.width,):
                 raise ValueError(f"{name} has shape {np.shape(row)}, the memory holds {self.width} entries")
+        if not 0 <= action < self.n_actions:
+            raise ValueError(f"action {action} is not in [0, {self.n_actions})")
         slot = self._pushes % self.capacity
         self.states[slot] = state
         self.actions[slot] = action
@@ -212,7 +215,7 @@ class DQNAgent:
         sizes = [obs_dim, *config.hidden_sizes, n_actions]
         self.policy_net = QNetwork(sizes, rng=rng)
         self.target_net = clone_parameters(self.policy_net)
-        self.memory = ReplayMemory(config.replay_capacity, obs_dim)
+        self.memory = ReplayMemory(config.replay_capacity, obs_dim, n_actions)
         self.adam = AdamState.for_network(self.policy_net, learning_rate=config.learning_rate,
                                           beta1=config.adam_beta1, beta2=config.adam_beta2)
         self.batch, self.targets = Batch.empty(config.batch_size, obs_dim), np.empty(config.batch_size)

@@ -216,18 +216,23 @@ def adam_step(net: QNetwork, state: AdamState, grad: np.ndarray) -> None:
 
     m and v are updated together, each by its own beta from a column of
     coefficients; every element gets the ops of the textbook formula in
-    the same order.
+    the same order.  Once corr1 = 1 - b1**t rounds to exactly 1.0 (t >= 356 at
+    b1 = 0.9), m / corr1 is m for every float, so only v is divided: same bits.
     """
     state.t += 1
-    state.coefficients[:] = (state.beta1, state.beta2, 1.0 - state.beta1, 1.0 - state.beta2,
-                             1.0 - state.beta1**state.t, 1.0 - state.beta2**state.t)
+    corr1, corr2 = 1.0 - state.beta1**state.t, 1.0 - state.beta2**state.t
+    state.coefficients[:] = (state.beta1, state.beta2, 1.0 - state.beta1, 1.0 - state.beta2, corr1, corr2)
     moments, scratch, scratch_m, scratch_v = state.moments, state.scratch, state.scratch_m, state.scratch_v
     moments *= state.beta                                   # m * b1          | v * b2
     np.multiply(state.one_minus_beta, grad, out=scratch)    # (1 - b1) * g    | (1 - b2) * g
     scratch_v *= grad                                       #                 | (1 - b2) * g * g
     moments += scratch
-    np.divide(moments, state.correction, out=scratch)       # m / corr1       | v / corr2
-    scratch_m *= state.learning_rate                        # lr * m / corr1  |
+    if corr1 == 1.0:  # the computed value, not t: with b1 = 0 it is 1.0 from the first step
+        np.divide(state.v, corr2, out=scratch_v)            #                 | v / corr2
+        np.multiply(state.m, state.learning_rate, out=scratch_m)  # lr * m    |
+    else:
+        np.divide(moments, state.correction, out=scratch)   # m / corr1       | v / corr2
+        scratch_m *= state.learning_rate                    # lr * m / corr1  |
     np.sqrt(scratch_v, out=scratch_v)
     scratch_v += state.epsilon                              #                 | sqrt(v / corr2) + eps
     scratch_m /= scratch_v

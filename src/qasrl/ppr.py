@@ -121,9 +121,9 @@ def softmax_select(scores: np.ndarray, temperature: float, rng: np.random.Genera
     logits = temperature * scores
     logits = logits - logits.max()
     weights = np.exp(logits)
-    probs = weights / weights.sum()
+    probs = weights / np.add.reduce(weights, None)  # weights.sum()'s reduction, without its Python wrapper
     cdf = probs.cumsum()
-    if np.isnan(cdf[-1]):
+    if math.isnan(cdf[-1]):
         raise ValueError(f"slot probabilities contain NaN: {probs}")
     return probs, int((cdf / cdf[-1]).searchsorted(rng.random(), side="right"))
 

@@ -84,6 +84,14 @@ class GateAction:
                 raise ValueError("CNOT control and target must differ")
         elif self.control is not None:
             raise ValueError(f"{self.kind.value} takes no control qubit")
+        # The dataclass hash, computed once: apply_gate's cache lookup hashes the action every step.
+        object.__setattr__(self, "_hash", hash((self.kind, self.target, self.control)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # rebuilt from its fields: the cached hash holds GateKind's per-process identity hash
+        return GateAction, (self.kind, self.target, self.control)
 
     def qubits(self) -> tuple[int, ...]:
         if self.kind is GateKind.CNOT:

@@ -212,12 +212,13 @@ BENCHMARK = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text())
     ("curriculum", "'' is not an end-to-end metric"),
     ("curricula:peak_rss_mb", "'curricula' is not a workload of BENCHMARK.json"),
     ("rollout:peak_rss_mb", "workload 'rollout' has no --pairs"),
-], ids=["metric_typo", "per_layer_metric", "no_metric", "workload_typo", "workload_without_pairs"])
+    ("curriculum:env_steps_per_s", "workload 'curriculum' has 9 --pairs seeds; a claim needs at least 10"),
+], ids=["metric_typo", "per_layer_metric", "no_metric", "workload_typo", "workload_without_pairs", "too_few_pairs"])
 def test_a_claim_the_record_cannot_judge_is_one_argparse_error(tmp_path, monkeypatch, capsys, claim, reason):
     out = tmp_path / "BENCH.json"
     monkeypatch.setattr(sys, "argv", ["bench_record.py", "--parent", str(tmp_path), "--change", str(SCRIPT.parents[1]),
                                       "--out", str(out), "--note", "n", "--claim", claim,
-                                      "--pairs", "scratch=1-2", "curriculum=3-4"])
+                                      "--pairs", "scratch=1-2", "curriculum=3-11"])
     with pytest.raises(SystemExit) as exit_info:
         bench_record.main()
     assert exit_info.value.code == 2

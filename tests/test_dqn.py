@@ -29,7 +29,7 @@ def make_transition(value: float, terminal: bool = True, dim: int = 6) -> tuple:
 def targets_of(net: QNetwork, gamma: float, *transitions: tuple) -> np.ndarray:
     """compute_targets over the transitions as one batch, in the order
     given, with their next states valued under ``net``."""
-    memory = ReplayMemory(len(transitions), net.layer_sizes[0])
+    memory = ReplayMemory(len(transitions), net.layer_sizes[0], net.output_dim)
     for t in transitions:
         memory.push(*t)
     values = memory.next_values(net, Workspace(net, len(transitions)))
@@ -39,7 +39,7 @@ def targets_of(net: QNetwork, gamma: float, *transitions: tuple) -> np.ndarray:
 
 class TestReplayMemory:
     def test_overwrites_oldest_when_full(self):
-        memory = ReplayMemory(2, 6)
+        memory = ReplayMemory(2, 6, 12)
         a, b, c = (make_transition(v) for v in (1.0, 2.0, 3.0))
         for t in (a, b, c):
             memory.push(*t)
@@ -47,21 +47,21 @@ class TestReplayMemory:
         assert held == {2.0, 3.0}
 
     def test_capacity_one(self):
-        memory = ReplayMemory(1, 6)
+        memory = ReplayMemory(1, 6, 12)
         for v in (1.0, 2.0, 3.0):
             memory.push(*make_transition(v))
         assert len(memory) == 1
         assert memory.rewards[0] == 3.0
 
     def test_length_never_exceeds_capacity(self):
-        memory = ReplayMemory(100, 6)
+        memory = ReplayMemory(100, 6, 12)
         for v in range(250):
             memory.push(*make_transition(float(v)))
         assert len(memory) == 100
 
     def test_wrap_around_keeps_the_slot_order(self):
         # push n lands in row n % capacity, as the list-backed ring did
-        memory = ReplayMemory(3, 6)
+        memory = ReplayMemory(3, 6, 12)
         for v in range(5):
             memory.push(*make_transition(float(v), terminal=v % 2 == 0))
         np.testing.assert_array_equal(memory.rewards, [3.0, 4.0, 2.0])
@@ -70,7 +70,7 @@ class TestReplayMemory:
         np.testing.assert_array_equal(memory.observations[memory.next_ids[0]], np.full(6, 3.0))
 
     def test_arrays_are_made_at_the_given_width(self):
-        memory = ReplayMemory(10_000, 4)
+        memory = ReplayMemory(10_000, 4, 12)
         assert len(memory) == 0
         assert memory.states.shape == memory.observations.shape == (10_000, 4)
         assert memory.actions.shape == memory.rewards.shape == memory.next_ids.shape == (10_000,)
@@ -81,17 +81,23 @@ class TestReplayMemory:
 
     @pytest.mark.parametrize("capacity", [8, 2])
     def test_a_refused_push_changes_nothing(self, capacity):
-        """A state or next state of the wrong width is refused with one line
-        naming it, before anything is written or counted; with capacity 2
-        the refused push would overwrite a held row."""
-        memory = ReplayMemory(capacity, 6)
+        """A state or next state of the wrong shape, a list included, and an
+        action outside [0, n_actions) are each refused with one line naming
+        them, before anything is written or counted; with capacity 2 the
+        refused push would overwrite a held row."""
+        memory = ReplayMemory(capacity, 6, 12)
         memory.push(*make_transition(1.0, terminal=False))
         memory.push(*make_transition(2.0, terminal=False))
         arrays = (memory.states, memory.actions, memory.rewards, memory.next_ids, memory.observations, memory.values)
         before = [a.copy() for a in arrays]
         bad = [(np.zeros(5), 0, 3.0, np.ones(6), r"state has shape \(5,\), the memory holds 6 entries$"),
                (np.zeros(6), 0, 3.0, np.ones(5), r"next state has shape \(5,\), the memory holds 6 entries$"),
-               (np.zeros(6), 0, 3.0, np.ones((6, 1)), r"next state has shape \(6, 1\)")]
+               (np.zeros(6), 0, 3.0, np.ones((6, 1)), r"next state has shape \(6, 1\)"),
+               ([0.0] * 5, 0, 3.0, None, r"state has shape \(5,\), the memory holds 6 entries$"),
+               (np.zeros(6), 0, 3.0, [[1.0] * 6], r"next state has shape \(1, 6\)"),
+               (np.zeros(6), -1, 3.0, np.ones(6), r"action -1 is not in \[0, 12\)$"),
+               (np.zeros(6), 12, 3.0, None, r"action 12 is not in \[0, 12\)$"),
+               (np.zeros(6), np.int64(12), 3.0, np.ones(6), r"action 12 is not in \[0, 12\)$")]
         for *transition, message in bad:
             with pytest.raises(ValueError, match=f"^{message}"):
                 memory.push(*transition)
@@ -102,7 +108,7 @@ class TestReplayMemory:
         assert len(memory) == min(3, capacity)
 
     def test_sample_rows_stay_aligned(self):
-        memory = ReplayMemory(20, 6)
+        memory = ReplayMemory(20, 6, 12)
         for v in range(20):
             memory.push(*make_transition(float(v), terminal=v % 3 == 0))
         batch = memory.sample(12, np.random.default_rng(2))
@@ -113,17 +119,17 @@ class TestReplayMemory:
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
-            ReplayMemory(0, 6)
+            ReplayMemory(0, 6, 12)
 
     def test_sample_whole_buffer(self):
-        memory = ReplayMemory(10, 6)
+        memory = ReplayMemory(10, 6, 12)
         for v in range(10):
             memory.push(*make_transition(float(v)))
         batch = memory.sample(10, np.random.default_rng(0))
         assert sorted(batch.rewards) == [float(v) for v in range(10)]
 
     def test_sample_without_replacement(self):
-        memory = ReplayMemory(50, 6)
+        memory = ReplayMemory(50, 6, 12)
         for v in range(50):
             memory.push(*make_transition(float(v)))
         rng = np.random.default_rng(1)
@@ -132,13 +138,13 @@ class TestReplayMemory:
             assert len(set(batch.rewards)) == 30
 
     def test_sample_more_than_held_raises(self):
-        memory = ReplayMemory(10, 6)
+        memory = ReplayMemory(10, 6, 12)
         memory.push(*make_transition(1.0))
         with pytest.raises(ValueError):
             memory.sample(2, np.random.default_rng(0))
 
     def test_sample_is_seed_reproducible(self):
-        memory = ReplayMemory(100, 6)
+        memory = ReplayMemory(100, 6, 12)
         for v in range(100):
             memory.push(*make_transition(float(v)))
         first = memory.sample(64, np.random.default_rng(7)).rewards
@@ -147,7 +153,7 @@ class TestReplayMemory:
 
     def test_single_draws_are_uniform(self):
         # every element within 5 sigma of the binomial expectation
-        memory = ReplayMemory(100, 6)
+        memory = ReplayMemory(100, 6, 12)
         for v in range(100):
             memory.push(*make_transition(float(v)))
         rng = np.random.default_rng(3)
@@ -385,7 +391,7 @@ class TestTargetValues:
         # 129 ids: two full chunks of 64, then id 128 in one product with ids 65..127
         rng = np.random.default_rng(90)
         for _ in range(10):
-            net, memory = random_net(rng), ReplayMemory(200, 6)
+            net, memory = random_net(rng), ReplayMemory(200, 6, 12)
             for _ in range(129):
                 memory.push(np.zeros(6), 0, 0.0, rng.uniform(-1, 1, 6))
             values = memory.next_values(net, Workspace(net, 64))
@@ -395,7 +401,7 @@ class TestTargetValues:
     def test_one_repeated_next_state_gets_the_full_row_bits(self):
         rng = np.random.default_rng(91)
         for _ in range(20):
-            net, memory, state = random_net(rng), ReplayMemory(64, 6), rng.uniform(-1, 1, 6)
+            net, memory, state = random_net(rng), ReplayMemory(64, 6, 12), rng.uniform(-1, 1, 6)
             for _ in range(64):
                 memory.push(rng.uniform(-1, 1, 6), 0, 0.0, state.copy())
             assert len(memory.ids) == 1
@@ -484,7 +490,7 @@ class TestTargetValues:
             return values
 
         rng = np.random.default_rng(99)
-        net, memory = random_net(rng), ReplayMemory(200, 6)
+        net, memory = random_net(rng), ReplayMemory(200, 6, 12)
         for _ in range(length):
             memory.push(np.zeros(6), 0, 0.0, rng.uniform(-1, 1, 6))
         workspace = Workspace(net, 64)
@@ -500,7 +506,7 @@ class TestTargetValues:
         steps; the table rebuilds from the next states still held, and
         every held transition and value stays right."""
         rng = np.random.default_rng(96)
-        net, memory = random_net(rng), ReplayMemory(4, 6)
+        net, memory = random_net(rng), ReplayMemory(4, 6, 12)
         workspace, pushed = Workspace(net, 2), []
         for episode in range(20):
             state = rng.uniform(-1, 1, 6)
@@ -528,6 +534,8 @@ class TestAgent:
         assert agent.policy_net.layer_sizes == [6, 64, 64, 12]
         x = np.random.default_rng(1).normal(size=6)
         np.testing.assert_array_equal(agent.policy_net.forward(x), agent.target_net.forward(x))
+        with pytest.raises(ValueError, match=r"^action 12 is not in \[0, 12\)$"):  # the memory knows the actions
+            agent.memory.push(np.zeros(6), 12, 0.0, None)
 
     def test_learn_is_no_op_until_replay_fills(self):
         agent = DQNAgent(6, 12, DQNConfig(), np.random.default_rng(0))

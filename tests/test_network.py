@@ -533,9 +533,9 @@ def plain_targets(net: QNetwork, rewards, next_states, live, gamma: float) -> np
     return targets
 
 
-def replay_batch(states, actions, rewards, next_states, live) -> tuple[ReplayMemory, Batch]:
-    """A full memory of these transitions in order, and all of it as a Batch."""
-    memory = ReplayMemory(len(rewards), states.shape[1])
+def replay_batch(net, states, actions, rewards, next_states, live) -> tuple[ReplayMemory, Batch]:
+    """A full memory of these transitions for ``net`` in order, and all of it as a Batch."""
+    memory = ReplayMemory(len(rewards), net.layer_sizes[0], net.output_dim)
     for state, action, reward, next_state, is_live in zip(states, actions, rewards, next_states, live):
         memory.push(state, action, reward, next_state if is_live else None)
     return memory, Batch(memory.states, memory.actions, memory.rewards, memory.next_ids)
@@ -637,7 +637,7 @@ class TestBitIdenticalToPlainFormulas:
             live = np.zeros(64, dtype=bool)
             live[rng.choice(64, size=n_live, replace=False)] = True
             rewards, next_states = rng.normal(size=64), rng.uniform(-1, 1, size=(64, 6))
-            memory, batch = replay_batch(rng.uniform(-1, 1, size=(64, 6)), rng.integers(12, size=64),
+            memory, batch = replay_batch(net, rng.uniform(-1, 1, size=(64, 6)), rng.integers(12, size=64),
                                          rewards, next_states, live)
             values = memory.next_values(net, Workspace(net, 64))
             expected = plain_targets(net, rewards, next_states, live, 0.7)
@@ -662,7 +662,7 @@ class TestBitIdenticalToPlainFormulas:
                 n_live = (0, 1, n - 1, n, int(rng.integers(0, n + 1)))[trial % 5]
                 live[rng.choice(n, size=n_live, replace=False)] = True
                 rewards, next_states = rng.normal(size=n), rng.uniform(-1, 1, size=(n, sizes[0]))
-                memory, batch = replay_batch(rng.uniform(-1, 1, size=(n, sizes[0])),
+                memory, batch = replay_batch(net, rng.uniform(-1, 1, size=(n, sizes[0])),
                                              rng.integers(sizes[-1], size=n), rewards, next_states, live)
 
                 expected = plain_targets(net, rewards, next_states, live, 0.7)
@@ -682,13 +682,16 @@ class TestBitIdenticalToPlainFormulas:
                 assert same_bits(net.forward(batch.states, workspace), plain_forward(net, batch.states))
             assert len(loss_workspaces) > 4  # the random sizes made some of their own
 
-    def test_stacked_adam_over_500_steps(self):
+    @pytest.mark.parametrize("beta1", [0.0, 0.8, 0.999])
+    def test_stacked_adam_over_500_steps(self, beta1):
         """m and v as the rows of one array, updated together in the
         state's own scratch, follow the plain formulas bit for bit step
-        after step."""
+        after step, on both sides of the step where 1 - beta1**t first
+        rounds to 1.0: from step 1 at beta1 = 0, about step 168 at 0.8,
+        and after these 500 steps at 0.999."""
         rng = np.random.default_rng(79)
         net = QNetwork([6, 64, 64, 12], rng=rng)
-        state = AdamState.for_network(net, learning_rate=3e-3, beta1=0.8, beta2=0.99)
+        state = AdamState.for_network(net, learning_rate=3e-3, beta1=beta1, beta2=0.99)
         assert state.moments.shape == (2, net.params.size)
         assert np.shares_memory(state.m, state.moments) and np.shares_memory(state.v, state.moments)
         for step in range(1, 501):

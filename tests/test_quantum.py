@@ -1,10 +1,16 @@
 """Simulator tests against independent density-matrix oracles."""
 
+import os
+import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qasrl
 from conftest import (
     GATE_2X2,
     HADAMARD,
@@ -30,6 +36,7 @@ from qasrl.quantum import (
     initial_state,
     pauli_coordinates,
     pauli_expectations,
+    transfer_matrix,
 )
 
 ALL_KINDS = list(GateKind)
@@ -88,6 +95,33 @@ class TestGateActions:
     def test_out_of_range_qubit(self):
         with pytest.raises(ValueError):
             apply_gate(initial_state(2), GateAction(GateKind.PAULI_X, target=2))
+
+    def test_a_fresh_equal_action_hashes_alike_and_hits_the_cache(self):
+        """apply_gate's transfer-matrix cache is keyed by the action's value,
+        not its identity: an equal action made anew finds the cached matrix."""
+        for action in enumerate_actions(3):
+            fresh = GateAction(action.kind, action.target, action.control)
+            assert fresh == action and fresh is not action and hash(fresh) == hash(action)
+            cached = transfer_matrix(action, 3, 0.125)
+            hits = transfer_matrix.cache_info().hits
+            assert transfer_matrix(fresh, 3, 0.125) is cached
+            assert transfer_matrix.cache_info().hits == hits + 1
+
+    def test_an_action_unpickled_in_another_process_hashes_like_a_fresh_one_there(self):
+        """GateKind hashes by identity, so an action's hash differs from one
+        process to the next: actions pickled here and loaded in a new
+        process must equal, hash like and share cache entries with that
+        process's own."""
+        script = ("import pickle, sys; from qasrl.env import enumerate_actions; "
+                  "from qasrl.quantum import transfer_matrix; "
+                  "theirs, ours = pickle.loads(sys.stdin.buffer.read()), enumerate_actions(2); "
+                  "print(theirs == ours, [hash(a) for a in theirs] == [hash(a) for a in ours], "
+                  "all(transfer_matrix(a, 2) is transfer_matrix(b, 2) for a, b in zip(theirs, ours)))")
+        src = str(Path(qasrl.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(enumerate_actions(2)),
+                              env=env, capture_output=True)
+        assert proc.stdout.split() == [b"True"] * 3, proc.stderr.decode()
 
 
 class TestApplyGateNoiseless:
